@@ -2,19 +2,39 @@
 
 All primitives operate on DataFrames whose partitioning has been frozen
 by ``localCheckpoint`` (our stand-in for the paper's in-place-updated,
-checkpointed RDDs), so per-partition row counts and row order are stable
-between the planning pass (driver) and the execution pass (workers).
+checkpointed RDDs), or on a lazy union of such pieces, so per-partition
+row counts and row order are stable between the planning pass (driver)
+and the execution pass (workers).
+
+The per-round passes are plain Spark SQL expressions, evaluated inside
+the JVM executors with no Python worker:
+
+* ``partition_sizes`` groups by ``spark_partition_id()``;
+* ``select`` addresses a row by ``monotonically_increasing_id()``, whose
+  value is ``(pid << 33) + offset``: the row's partition in the plan the
+  expression is evaluated over, and its position inside that partition.
+  The expression is projected directly over the given DataFrame, so the
+  addresses are those of its own partitions — for ``reservoir ∪ batch``,
+  union partition ids, which are the branch ids offset by the partition
+  count of the branches before them. A frame of local data must be
+  checkpointed first: over it, Spark's optimizer evaluates both ids on
+  the driver as if the frame were one partition.
 
 Two decision strategies from the paper:
 
 * **Centralized** — the master samples *global slot numbers* and maps
   each to a ``(partition, offset)`` pair using cumulative partition
-  sizes; workers just apply the broadcast position lists.
+  sizes; the rows at those addresses are picked by a filter on the row
+  address (few) or by a broadcast join on the partition id that brings
+  each row its partition's bitmap of picked offsets (many).
 * **Distributed** — the master samples only a per-partition *count*
-  vector from the multivariate hypergeometric law; each worker locally
-  picks that many uniform rows with a deterministic per-(seed, round,
-  partition) RNG (the paper cites jump-ahead PRNGs [20]; independent
-  Philox streams keyed by (seed, round, pid) give the same guarantee).
+  vector from the multivariate hypergeometric law; each partition orders
+  its rows by ``rand(s)`` and picks its first ``count`` rows. Spark seeds
+  partition ``i``'s stream with ``s + i``, so ``s`` is derived from
+  (seed, round) through a ``SeedSequence`` rather than as ``seed +
+  round``, which would give round ``r``'s partition ``i + 1`` the stream
+  of round ``r + 1``'s partition ``i`` (the paper cites jump-ahead PRNGs
+  [20] for the same guarantee).
 """
 from __future__ import annotations
 
@@ -24,25 +44,22 @@ import numpy as np
 import pandas as pd
 from pyspark import TaskContext
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.rng import multivariate_hypergeometric_split
+
+_ROW = "__row"  # row address (pid << 33) + offset, before any reordering
+_RANK = "__rank"  # the same after ordering each partition by rand(s)
+_PID = "__pid"
+_BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
+_PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
+_INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
 def partition_sizes(df: DataFrame) -> list[int]:
     """Row count of every partition, indexed by partition id."""
-
-    def count_part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pid = TaskContext.get().partitionId()
-        n = sum(len(pdf) for pdf in it)
-        yield pd.DataFrame({"pid": [pid], "cnt": [n]})
-
-    rows = (
-        df.mapInPandas(count_part, schema="pid int, cnt long")
-        .toPandas()
-        .set_index("pid")["cnt"]
-    )
-    n_parts = df.rdd.getNumPartitions()
-    return [int(rows.get(pid, 0)) for pid in range(n_parts)]
+    counts = dict(df.groupBy(F.spark_partition_id()).count().collect())
+    return [int(counts.get(pid, 0)) for pid in range(df.rdd.getNumPartitions())]
 
 
 def slots_to_positions(
@@ -87,112 +104,108 @@ def distributed_counts(
     return {pid: c for pid, c in enumerate(counts) if c > 0}
 
 
-def _collect_partition(it: Iterator[pd.DataFrame]) -> pd.DataFrame | None:
-    chunks = [pdf for pdf in it]
-    if not chunks:
-        return None
-    return pd.concat(chunks, ignore_index=True)
+def position_spec(
+    positions: Mapping[int, np.ndarray], sizes: Sequence[int], mode: str
+) -> dict[int, tuple[str, np.ndarray]]:
+    """``select`` spec applying ``mode`` to the given offsets of every
+    partition, the smaller side shipped: an offset set larger than half
+    its partition becomes the opposite mode on the complement. A
+    partition left untouched is omitted."""
+    flip = {"keep": "drop", "drop": "keep"}
+    spec = {}
+    for pid, size in enumerate(sizes):
+        m, offs = mode, np.asarray(positions.get(pid, ()), dtype=np.int64)
+        if 2 * len(offs) > size:
+            m, offs = flip[mode], np.setdiff1d(np.arange(size), offs)
+        if m == "keep" or len(offs):
+            spec[pid] = (m, offs)
+    return spec
 
 
-def select_by_positions(
-    df: DataFrame, positions: Mapping[int, np.ndarray], *, keep: bool
-) -> DataFrame:
-    """Keep (or drop) the rows at the given per-partition offsets."""
-    schema = df.schema
-    pos_b = {pid: np.asarray(v) for pid, v in positions.items()}
-
-    def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pid = TaskContext.get().partitionId()
-        pdf = _collect_partition(it)
-        if pdf is None:
-            return
-        offs = pos_b.get(pid)
-        if offs is None or len(offs) == 0:
-            if not keep:
-                yield pdf
-            return
-        mask = np.zeros(len(pdf), dtype=bool)
-        mask[offs] = True
-        yield pdf.loc[mask if keep else ~mask]
-
-    return df.mapInPandas(fn, schema=schema)
+def _bitmap(offsets: np.ndarray) -> np.ndarray:
+    """Offsets as 64-bit words: offset ``o`` is bit ``o % 64`` of word
+    ``o // 64``."""
+    words = np.zeros(offsets.max() // 64 + 1, dtype=np.uint64)
+    np.bitwise_or.at(words, offsets // 64, np.uint64(1) << (offsets % 64).astype(np.uint64))
+    return words.view(np.int64)
 
 
-def select_random_per_partition(
-    df: DataFrame,
-    counts: Mapping[int, int],
-    *,
-    keep: bool,
-    seed: int,
-    round_no: int,
-) -> DataFrame:
-    """Keep (or drop) ``counts[pid]`` uniform rows per partition, with a
-    deterministic stream per (seed, round, partition)."""
-    schema = df.schema
-    cnt_b = dict(counts)
-
-    def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pid = TaskContext.get().partitionId()
-        pdf = _collect_partition(it)
-        if pdf is None:
-            return
-        k = cnt_b.get(pid, 0)
-        if k <= 0:
-            if not keep:
-                yield pdf
-            return
-        rng = np.random.default_rng([seed, round_no, pid])
-        idx = rng.choice(len(pdf), size=min(k, len(pdf)), replace=False)
-        mask = np.zeros(len(pdf), dtype=bool)
-        mask[idx] = True
-        yield pdf.loc[mask if keep else ~mask]
-
-    return df.mapInPandas(fn, schema=schema)
+def _rand_seed(seed: int, round_no: int) -> int:
+    """A 63-bit ``rand`` seed drawn from (seed, round)."""
+    state = np.random.SeedSequence([seed, round_no]).generate_state(1, np.uint64)
+    return int(state[0] >> np.uint64(1))
 
 
-def select_mixed(
+def select(
     df: DataFrame,
     spec: Mapping[int, tuple[str, object]],
     *,
     seed: int,
     round_no: int,
 ) -> DataFrame:
-    """One fused pass applying a per-partition keep/drop spec.
+    """One pass keeping (or dropping) picked rows, per partition.
 
     ``spec[pid] = (mode, payload)`` with mode ``"keep"``/``"drop"`` and
     payload either an offset array (centralized decisions) or an int
-    count (distributed decisions, sampled locally with the deterministic
-    per-(seed, round, partition) stream). Partitions absent from the
-    spec pass through unchanged. This lets D-R-TBS's saturated-path
-    delete+insert run as a single Spark job over ``reservoir ∪ batch``:
-    union partition ids are the branch ids offset by the partition count
-    of the branches before them, which the driver knows exactly.
+    count (distributed decisions: the partition's first ``count`` rows
+    in the order of ``rand(s)``, ``s`` drawn from (seed, round_no), so
+    the same (seed, round) picks the same rows). Partitions absent from
+    the spec pass through unchanged. This lets D-R-TBS's saturated-path
+    delete+insert run as a single Spark job over ``reservoir ∪ batch``.
     """
-    schema = df.schema
-    spec_b = dict(spec)
-
-    def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pid = TaskContext.get().partitionId()
-        pdf = _collect_partition(it)
-        if pdf is None:
-            return
-        entry = spec_b.get(pid)
-        if entry is None:
-            yield pdf
-            return
-        mode, payload = entry
-        if isinstance(payload, (int, np.integer)):
-            k = int(payload)
-            rng = np.random.default_rng([seed, round_no, pid])
-            offs = rng.choice(len(pdf), size=min(k, len(pdf)), replace=False)
+    cols = df.columns
+    out = df.withColumn(_ROW, F.monotonically_increasing_id())
+    offset_mask = (1 << _PID_SHIFT) - 1
+    offsets = {
+        pid: np.asarray(p, dtype=np.int64)
+        for pid, (_m, p) in spec.items()
+        if not isinstance(p, (int, np.integer)) and len(p)
+    }
+    n_addresses = sum(map(len, offsets.values()))
+    if n_addresses > _INLINE_ADDRESSES:
+        # One row per partition, whatever the number of picks: a bitmap
+        # ships and probes faster than a broadcast table of addresses.
+        bitmaps = df.sparkSession.createDataFrame(
+            pd.DataFrame({_PID: list(offsets), _BITMAP: list(map(_bitmap, offsets.values()))}),
+            schema=f"{_PID} int, {_BITMAP} array<bigint>",
+        )
+        out = out.withColumn(_PID, F.expr(f"int(shiftright({_ROW}, {_PID_SHIFT}))"))
+        out = out.join(F.broadcast(bitmaps), _PID, "left")
+        offset = f"({_ROW} & {offset_mask})"
+        word = f"try_element_at({_BITMAP}, int(shiftright({offset}, 6)) + 1)"
+        at_address = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
+    elif n_addresses:
+        addresses = [(pid << _PID_SHIFT) + int(o) for pid, offs in offsets.items() for o in offs]
+        at_address = f"{_ROW} IN ({', '.join(map(str, addresses))})"
+    counts = {
+        pid: int(p) for pid, (_m, p) in spec.items() if isinstance(p, (int, np.integer))
+    }
+    if any(counts.values()):
+        out = out.sortWithinPartitions(F.rand(_rand_seed(seed, round_no)))
+        out = out.withColumn(_RANK, F.monotonically_increasing_id())
+    cases = []
+    for pid, (mode, p) in sorted(spec.items()):
+        if pid in offsets:
+            picked_row = at_address
+        elif counts.get(pid):
+            picked_row = f"({_RANK} & {offset_mask}) < {counts[pid]}"
         else:
-            offs = np.asarray(payload)
-        mask = np.zeros(len(pdf), dtype=bool)
-        if len(offs):
-            mask[offs] = True
-        yield pdf.loc[mask if mode == "keep" else ~mask]
+            picked_row = "false"
+        cases.append(
+            f"WHEN {pid} THEN {picked_row if mode == 'keep' else f'NOT ({picked_row})'}"
+        )
+    if cases:
+        out = out.filter(
+            f"CASE shiftright({_ROW}, {_PID_SHIFT}) {' '.join(cases)} ELSE true END"
+        )
+    return out.select(*cols)
 
-    return df.mapInPandas(fn, schema=schema)
+
+def _collect_partition(it: Iterator[pd.DataFrame]) -> pd.DataFrame | None:
+    chunks = [pdf for pdf in it]
+    if not chunks:
+        return None
+    return pd.concat(chunks, ignore_index=True)
 
 
 def tag_positions(df: DataFrame) -> DataFrame:
@@ -213,14 +226,3 @@ def tag_positions(df: DataFrame) -> DataFrame:
         yield pdf
 
     return df.mapInPandas(fn, schema=schema)
-
-
-def positions_to_pandas(positions: Mapping[int, np.ndarray]) -> pd.DataFrame:
-    """Flatten a positions dict into a (pid, pos) pandas frame — the
-    paper's distributed location set Q."""
-    pids: list[int] = []
-    offs: list[int] = []
-    for pid, arr in positions.items():
-        pids.extend([pid] * len(arr))
-        offs.extend(int(o) for o in arr)
-    return pd.DataFrame({"__pid": pids, "__pos": offs})

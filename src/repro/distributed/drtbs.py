@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.distributed.reservoir import CoPartitionedReservoir, KVReservoir
+from repro.distributed import reservoir
 from repro.rng import make_rng, stochastic_round
 
 _EPS = 1e-9
@@ -64,14 +64,14 @@ class DRTBS:
         self.n = int(n)
         self.rng = make_rng(seed)
         if storage == "cp":
-            self.reservoir = CoPartitionedReservoir(
+            self.reservoir = reservoir.CoPartitionedReservoir(
                 spark,
                 strategy=strategy,
                 seed=seed + 1,
                 target_partitions=target_partitions,
             )
         elif storage == "kv":
-            self.reservoir = KVReservoir(
+            self.reservoir = reservoir.KVReservoir(
                 spark,
                 retrieval=retrieval,
                 seed=seed + 1,
@@ -130,23 +130,21 @@ class DRTBS:
     # ------------------------------------------------------------------
     # Distributed Algorithm 2
     # ------------------------------------------------------------------
-    def advance(
-        self,
-        batch_df: DataFrame,
-        dt: float = 1.0,
-        batch_count: int | None = None,
-        batch_sizes: list[int] | None = None,
-    ) -> None:
+    def advance(self, batch_df: DataFrame, dt: float = 1.0) -> None:
         """Process one micro-batch. The batch DataFrame must be
         deterministic under re-evaluation (e.g. created from local data
-        or a checkpointed parent), since the planning pass (partition
-        sizes) and the execution pass both evaluate it. Callers that
-        already know the batch's per-partition sizes pass them to skip
-        the sizing job (the paper's driver aggregates local batch sizes
-        the same way)."""
-        b = batch_count if batch_count is not None else (
-            sum(batch_sizes) if batch_sizes is not None else batch_df.count()
-        )
+        or a checkpointed parent). It is sized once, per partition, as the
+        paper's driver aggregates local batch sizes; the sizes give ``b``
+        and are handed to the reservoir."""
+        # A lazy local checkpoint, materialized by the sizing pass, pins the
+        # batch's partitions for the sizes and every later pass. Spark's
+        # optimizer would otherwise evaluate spark_partition_id() over a
+        # frame of local data on the driver, as if it were one partition.
+        batch_df = batch_df.localCheckpoint(eager=False)
+        # Looked up on the module at call time, so a wrapper installed on
+        # ``reservoir.partition_sizes`` (tbsbench --trace 1) sees this call.
+        sizes = reservoir.partition_sizes(batch_df)
+        b = sum(sizes)
         decay = math.exp(-self.lam * dt)
         n, R = self.n, self.reservoir
 
@@ -160,7 +158,7 @@ class DRTBS:
                 self.sample_weight = 0.0
             W += b
             if b > 0:
-                R.insert_all(batch_df, b, batch_sizes)
+                R.insert_all(batch_df, sizes)
             self.sample_weight += b
             self.total_weight = W
             if W > n + _EPS:
@@ -171,12 +169,12 @@ class DRTBS:
             if W >= n - _EPS:
                 m = stochastic_round(self.rng, b * n / W) if b else 0
                 m = min(m, b, n)
-                R.replace_random(m, batch_df, b, batch_sizes)
+                R.replace_random(m, batch_df, sizes)
             else:
                 target = W - b
                 self._downsample(target)
                 if b > 0:
-                    R.insert_all(batch_df, b, batch_sizes)
+                    R.insert_all(batch_df, sizes)
                 self.sample_weight = W
 
     # ------------------------------------------------------------------

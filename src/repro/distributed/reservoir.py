@@ -35,18 +35,11 @@ from repro.distributed.common import (
     central_positions,
     distributed_counts,
     partition_sizes,
-    select_by_positions,
-    select_mixed,
-    select_random_per_partition,
+    position_spec,
+    select,
     tag_positions,
 )
 from repro.rng import make_rng
-
-
-def _decision_items(decision):
-    """(pid, payload) pairs of a cent (offsets) or dist (count) decision."""
-    _kind, payload = decision
-    return payload.items()
 
 
 class CoPartitionedReservoir:
@@ -55,22 +48,32 @@ class CoPartitionedReservoir:
     Performance notes mirroring the paper's design rationale:
 
     * per-partition sizes are tracked *on the driver* and updated
-      incrementally from the very decisions the driver hands out, so
-      the steady-state hot path (``replace_random``) runs **two** Spark
-      jobs per round (one per positional select) and **zero** shuffles;
+      incrementally from the very decisions the driver hands out, so a
+      round sends workers only counts (or positions) and every select is
+      one Spark SQL pass with zero shuffles. A saturated round
+      (``DRTBS.advance`` → ``replace_random``) runs 3 Spark jobs, as
+      measured: 2 to size the batch (the ``groupBy``'s map and result
+      stages) and 1 for the fused select over ``reservoir ∪ batch`` and
+      its checkpoint. Centralized decisions with more than 64 picks add
+      1 to broadcast their offset bitmaps, and a coalesce adds 1, plus 2
+      for the recount;
     * the new reservoir is a lazy union of eagerly-checkpointed pieces;
       partitions are merged with a (shuffle-free) ``coalesce`` only when
       their number grows past ``4·P``, at which point sizes are
-      recomputed lazily with one counting job.
+      recomputed lazily with one counting pass.
 
-    CRITICAL evaluation-order invariant: the positional selects read
-    ``TaskContext.partitionId()`` inside ``mapInPandas``. If such a plan
-    were evaluated underneath a union or coalesce, the task's partition
-    id would be the *composed* plan's id, not the planned one, silently
-    mis-aligning the broadcast position maps. Therefore every positional
-    select is checkpointed eagerly and *standalone* the moment it is
-    created, and ``coalesce`` is only applied on top of checkpointed
-    scans (no UDF underneath).
+    CRITICAL evaluation-order invariant: ``spark_partition_id()`` and
+    ``monotonically_increasing_id()`` take the partition index of the
+    plan they are evaluated over. ``partition_sizes`` and ``select``
+    project them directly over the frame they are given — the reservoir
+    (a union of checkpointed pieces, or a coalesce of one) or
+    ``reservoir ∪ batch`` — so a select's addresses are the partitions
+    and offsets the driver sized. A select is never evaluated underneath
+    a later union or coalesce: it is checkpointed eagerly the moment it
+    is created, and ``coalesce`` is only applied on top of checkpointed
+    scans. Over a frame of local data Spark's optimizer would evaluate
+    the ids on the driver as if it were one partition, so batches arrive
+    checkpointed (``DRTBS.advance``).
     """
 
     def __init__(
@@ -87,7 +90,7 @@ class CoPartitionedReservoir:
         self.strategy = strategy
         self.rng = make_rng(seed)
         self.seed = seed
-        self.op = 0  # monotone op counter: seeds the per-partition RNGs
+        self.op = 0  # monotone op counter: seeds the per-partition streams
         self.df: DataFrame | None = None
         self.count = 0
         self._sizes: list[int] | None = []
@@ -131,36 +134,35 @@ class CoPartitionedReservoir:
             return [len(payload.get(pid, ())) for pid in range(n_parts)]
         return [payload.get(pid, 0) for pid in range(n_parts)]
 
-    def _apply(self, df: DataFrame, decision, *, keep: bool) -> DataFrame:
-        self.op += 1
+    @staticmethod
+    def _spec(decision, sizes: list[int], mode: str, first_pid: int = 0) -> dict:
+        """``select`` spec applying ``mode`` to a decision's picks in every
+        partition, addressed from ``first_pid`` on."""
         kind, payload = decision
         if kind == "pos":
-            return select_by_positions(df, payload, keep=keep)
-        return select_random_per_partition(
-            df, payload, keep=keep, seed=self.seed, round_no=self.op
-        )
+            spec = position_spec(payload, sizes, mode)
+        else:
+            spec = {
+                pid: (mode, payload.get(pid, 0))
+                for pid in range(len(sizes))
+                if mode == "keep" or pid in payload
+            }
+        return {first_pid + pid: entry for pid, entry in spec.items()}
 
-    def _batch_sizes(
-        self, batch_df: DataFrame, batch_sizes: list[int] | None
-    ) -> list[int]:
-        return batch_sizes if batch_sizes is not None else partition_sizes(batch_df)
+    def _select(self, df: DataFrame, spec: dict) -> DataFrame:
+        self.op += 1
+        return select(df, spec, seed=self.seed, round_no=self.op)
 
     # -- reservoir operations -----------------------------------------
-    def insert_all(
-        self,
-        batch_df: DataFrame,
-        batch_count: int,
-        batch_sizes: list[int] | None = None,
-    ) -> None:
-        """Append the whole batch; partitions concatenate (the automatic
-        co-partitioning property of Sec. 5.2)."""
-        bsz = self._batch_sizes(batch_df, batch_sizes)
-        batch_df = self._ckpt(batch_df)
+    def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:
+        """Append the whole batch, a checkpointed frame whose per-partition
+        ``sizes`` the caller measured; partitions concatenate (the
+        automatic co-partitioning property of Sec. 5.2)."""
         if self.df is None:
-            self._set_df(batch_df, bsz)
+            self._set_df(batch_df, list(sizes))
         else:
-            self._set_df(self.df.unionByName(batch_df), self.sizes() + bsz)
-        self.count += batch_count
+            self._set_df(self.df.unionByName(batch_df), self.sizes() + list(sizes))
+        self.count += sum(sizes)
 
     def keep_random(self, k: int) -> None:
         """Downsample the reservoir to ``k`` uniform survivors."""
@@ -168,7 +170,7 @@ class CoPartitionedReservoir:
             return
         sizes = self.sizes()
         decision = self._choice(sizes, k)
-        kept = self._ckpt(self._apply(self.df, decision, keep=True))
+        kept = self._ckpt(self._select(self.df, self._spec(decision, sizes, "keep")))
         self._set_df(kept, self._picked_per_partition(decision, len(sizes)))
         self.count = k
 
@@ -178,14 +180,11 @@ class CoPartitionedReservoir:
         if self.count == 0:
             return None
         sizes = self.sizes()
-        pos = central_positions(self.rng, sizes, 1)
-        row = select_by_positions(self.df, pos, keep=True).toPandas()
-        self.op += 1
-        rest = self._ckpt(select_by_positions(self.df, pos, keep=False))
-        (pid,) = pos.keys()
-        new_sizes = list(sizes)
-        new_sizes[pid] -= 1
-        self._set_df(rest, new_sizes)
+        decision = ("pos", central_positions(self.rng, sizes, 1))
+        row = self._select(self.df, self._spec(decision, sizes, "keep")).toPandas()
+        rest = self._ckpt(self._select(self.df, self._spec(decision, sizes, "drop")))
+        removed = self._picked_per_partition(decision, len(sizes))
+        self._set_df(rest, [s - r for s, r in zip(sizes, removed)])
         self.count -= 1
         return dict(row.iloc[0])
 
@@ -201,41 +200,23 @@ class CoPartitionedReservoir:
         self._set_df(self.df.unionByName(small), self.sizes() + [len(rows)])
         self.count += len(rows)
 
-    def replace_random(
-        self,
-        m: int,
-        batch_df: DataFrame,
-        batch_count: int,
-        batch_sizes: list[int] | None = None,
-    ) -> None:
+    def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         """Saturated-regime hot path: m random victims in the reservoir
         are replaced by m uniform items of the batch (Alg. 2 line 17).
-        Two Spark jobs, no shuffle."""
+        One select pass over ``reservoir ∪ batch``, no shuffle."""
         if m <= 0:
             return
-        sizes = self.sizes()
-        bsz = self._batch_sizes(batch_df, batch_sizes)
-        res_decision = self._choice(sizes, m)
-        ins_decision = self._choice(bsz, m)
-        # Fused delete+insert: one positional pass over reservoir ∪ batch.
-        # Batch partitions sit at ids offset by len(sizes) in the union —
-        # deterministic, so the driver can address them directly.
-        offset = len(sizes)
-        spec: dict[int, tuple[str, object]] = {}
-        for pid, payload in _decision_items(res_decision):
-            spec[pid] = ("drop", payload)
-        for pid in range(len(bsz)):
-            found = dict(_decision_items(ins_decision)).get(pid)
-            # batch partitions not picked from must contribute nothing
-            spec[offset + pid] = ("keep", found if found is not None else 0)
-        self.op += 1
-        combined = self.df.unionByName(batch_df)
-        new_df = self._ckpt(
-            select_mixed(combined, spec, seed=self.seed, round_no=self.op)
-        )
-        removed = self._picked_per_partition(res_decision, len(sizes))
-        new_sizes = [s - r for s, r in zip(sizes, removed)]
-        new_sizes += self._picked_per_partition(ins_decision, len(bsz))
+        res_sizes = self.sizes()
+        res_decision = self._choice(res_sizes, m)
+        ins_decision = self._choice(sizes, m)
+        # Batch partitions sit at ids offset by len(res_sizes) in the
+        # union — deterministic, so the driver can address them directly.
+        spec = self._spec(res_decision, res_sizes, "drop")
+        spec.update(self._spec(ins_decision, sizes, "keep", len(res_sizes)))
+        new_df = self._ckpt(self._select(self.df.unionByName(batch_df), spec))
+        removed = self._picked_per_partition(res_decision, len(res_sizes))
+        new_sizes = [s - r for s, r in zip(res_sizes, removed)]
+        new_sizes += self._picked_per_partition(ins_decision, len(sizes))
         self._set_df(new_df, new_sizes)
 
     def clear(self) -> None:
@@ -358,19 +339,11 @@ class KVReservoir:
         return joined.drop("__pid", "__pos")
 
     # -- reservoir operations -----------------------------------------
-    def insert_all(
-        self,
-        batch_df: DataFrame,
-        batch_count: int,
-        batch_sizes: list[int] | None = None,
-    ) -> None:
-        if batch_sizes is None:
-            batch_sizes = partition_sizes(batch_df)
-        positions = {
-            pid: np.arange(sz) for pid, sz in enumerate(batch_sizes) if sz > 0
-        }
-        slots = np.arange(self.next_slot, self.next_slot + batch_count, dtype=np.int64)
-        self.next_slot += batch_count
+    def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:
+        positions = {pid: np.arange(sz) for pid, sz in enumerate(sizes) if sz > 0}
+        n_rows = sum(sizes)
+        slots = np.arange(self.next_slot, self.next_slot + n_rows, dtype=np.int64)
+        self.next_slot += n_rows
         inserts = self._retrieve(batch_df, positions, slots)
         inserts = inserts.repartition(self.P, self.SLOT)  # simulated KV write
         df = inserts if self.df is None else self.df.unionByName(inserts)
@@ -407,19 +380,11 @@ class KVReservoir:
         self.live_slots = np.concatenate([self.live_slots, slots])
         self._materialize(self.df.unionByName(small.repartition(self.P, self.SLOT)))
 
-    def replace_random(
-        self,
-        m: int,
-        batch_df: DataFrame,
-        batch_count: int,
-        batch_sizes: list[int] | None = None,
-    ) -> None:
+    def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         if m <= 0:
             return
         victims = self.rng.choice(self.live_slots, size=m, replace=False)
-        if batch_sizes is None:
-            batch_sizes = partition_sizes(batch_df)
-        positions = central_positions(self.rng, batch_sizes, m)
+        positions = central_positions(self.rng, sizes, m)
         inserts = self._retrieve(batch_df, positions, victims.astype(np.int64))
         inserts = inserts.repartition(self.P, self.SLOT)  # simulated KV write
         survivors = self.df.join(

@@ -8,6 +8,7 @@ distributed reservoir, and (iii) cross-variant agreement.
 """
 import math
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -140,3 +141,47 @@ class TestCrossVariantAgreement:
             states.append((round(d.total_weight, 6), round(d.sample_weight, 6),
                            d.reservoir.count))
         assert len(set(states)) == 1, states
+
+
+@pytest.fixture(scope="module")
+def age_runs(spark):
+    """Two same-seed runs per Cent-CP/Dist-CP variant over batches of
+    mixed sizes, one of them empty, that visit all four Alg. 2 branches."""
+    from tbsbench.checks import WeightTracker
+
+    lam, n = 0.2, 2000
+    sched = [1500, 900, 0, 2600, 400, 1800, 700, 3000, 200, 1000]
+    tracker = WeightTracker(lam, n)
+    for b in sched:
+        tracker.step(b)
+    runs = {}
+    for kw, name in zip(VARIANTS[:2], IDS[:2]):
+        samples = []
+        for _ in range(2):
+            d = DRTBS(spark, lam, n, seed=21, **kw)
+            for t, b in enumerate(sched):
+                d.advance(make_batch(spark, t, b))
+            samples.append(d.sample_pandas(rng=np.random.default_rng(5)))
+        runs[name] = samples
+    return tracker, runs
+
+
+class TestSparkRandomness:
+    @pytest.mark.parametrize("variant", IDS[:2])
+    def test_same_seed_same_sample(self, age_runs, variant):
+        first, second = age_runs[1][variant]
+        pd.testing.assert_frame_equal(first, second)
+
+    @pytest.mark.parametrize("variant", IDS[:2])
+    def test_age_profile_matches_thm42(self, age_runs, variant):
+        """Per-batch counts of a realized sample against Thm 4.2,
+        ``B_j·(C/W)·e^{-λ(t-j)}``, by the benchmark's chi-square test."""
+        from tbsbench.checks import age_profile_test
+
+        tracker, runs = age_runs
+        sample = runs[variant][0]
+        assert set(tracker.branches) == {"unsaturated", "overshoot", "undershoot", "saturated"}
+        assert len(sample) in {math.floor(tracker.C), math.ceil(tracker.C)}
+        observed = np.bincount(sample["t"].to_numpy(), minlength=len(tracker.sizes))
+        ok, msg = age_profile_test(observed, tracker.expected_ages())
+        assert ok, msg
