@@ -2,11 +2,12 @@
 
 Reproduces Figure 7 (five implementations) and Figure 9 (scale-up with
 batch size) as runtime tables on local Spark. The stream is a sequence
-of integer-payload micro-batches derived from the TPC-H-lite generator
-at the requested size; the reservoir is warmed into the saturated
-regime first so every measured round exercises the paper's hot path
-(delete/insert coordination), exactly as in the cluster experiments
-(batch 10M, reservoir 20M, λ=0.07 there; scaled down here).
+of integer-payload micro-batches (``make_int_batch``: a batch-time
+column and a random integer key per row) at the requested size; the
+reservoir is warmed into the saturated regime first so every measured
+round exercises the paper's hot path (delete/insert coordination),
+exactly as in the cluster experiments (batch 10M, reservoir 20M,
+λ=0.07 there; scaled down here).
 
 Implementation labels follow the paper:
   Cent-KV-RJ, Cent-KV-CJ, Cent-CP, Dist-CP, D-T-TBS.

@@ -6,10 +6,19 @@ nearest neighbors in the current sample, based on Euclidean distance".
 kNN is the motivating *non-parametric* model — there is no incremental
 variant, so periodic retraining on a sample is the natural fit.
 
-Fully vectorized: one (batch × sample) distance matrix per prediction
-call; ties in the majority vote break toward the nearest neighbour's
-class (scan order of ``np.argmax`` over counts of nearest-sorted
-votes), matching the usual kNN convention.
+``predict`` has no per-row Python loop. It builds one (batch × sample)
+matrix of squared distances, picks each row's k nearest with
+``argpartition`` and sorts those k nearest first. The vote counts, for
+each of a row's k votes, how many of the k votes share its class, and
+returns the first vote with the highest count. That is the nearest vote
+of a most-supported class, so a tie in the count breaks toward the class
+whose nearest supporter is closest.
+
+The distance is ``(|x|² − 2·x·t) + |t|²``, summed in that order, with the
+norms from ``np.sum(A * A, axis=1)``. Changing that order or the way the
+norms are summed (``np.einsum``, say) changes the last bits of some
+distances, and that can reorder near-tied neighbours and so change
+predicted labels.
 """
 from __future__ import annotations
 
@@ -40,27 +49,19 @@ class KNNClassifier:
         if self._X is None:
             raise RuntimeError("fit() before predict()")
         X = np.asarray(X, dtype=float)
-        k = min(self.k, len(self._X))
-        # squared Euclidean distances, (m_test, m_train)
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ self._X.T
-            + np.sum(self._X * self._X, axis=1)[None, :]
-        )
-        # k nearest per row, then majority vote (nearest-first tiebreak)
+        T = self._X
+        k = min(self.k, len(T))
+        # squared Euclidean distances, (m_test, m_train), built in place;
+        # scaling by -2 is exact, so this rounds as (|x|² - 2x·t) + |t|²
+        d2 = (-2.0 * X) @ T.T
+        np.add(np.sum(X * X, axis=1)[:, None], d2, out=d2)
+        d2 += np.sum(T * T, axis=1)
+        # k nearest per row, sorted nearest first
         nn = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
         rows = np.arange(len(X))[:, None]
         order = np.argsort(d2[rows, nn], axis=1)
-        nn_sorted = nn[rows, order]
-        votes = self._y[nn_sorted]  # (m_test, k), nearest first
-        out = np.empty(len(X), dtype=self._y.dtype)
-        for i in range(len(X)):
-            vals, first_pos, counts = np.unique(
-                votes[i], return_index=True, return_counts=True
-            )
-            best = counts == counts.max()
-            # tie -> the class whose nearest supporting vote is closest
-            cand = vals[best]
-            pos = first_pos[best]
-            out[i] = cand[np.argmin(pos)]
-        return out
+        votes = self._y[nn[rows, order]]  # (m_test, k)
+        # support[i, j]: how many of row i's votes agree with vote j;
+        # argmax takes the nearest vote of a most-supported class
+        support = (votes[:, :, None] == votes[:, None, :]).sum(axis=2)
+        return votes[rows[:, 0], np.argmax(support, axis=1)]

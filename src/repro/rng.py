@@ -77,21 +77,6 @@ def sample_without_replacement(
     return [items[i] for i in idx]
 
 
-def split_indices(
-    rng: np.random.Generator, items: Sequence[T], m: int
-) -> tuple[list[T], list[T]]:
-    """Partition ``items`` into (uniform sample of ``min(m, n)``, rest)."""
-    n = len(items)
-    m = min(m, n)
-    if m <= 0:
-        return [], list(items)
-    perm = rng.permutation(n)
-    chosen = set(perm[:m].tolist())
-    picked = [items[i] for i in range(n) if i in chosen]
-    rest = [items[i] for i in range(n) if i not in chosen]
-    return picked, rest
-
-
 def multivariate_hypergeometric_split(
     rng: np.random.Generator, partition_sizes: Sequence[int], k: int
 ) -> list[int]:

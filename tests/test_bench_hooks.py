@@ -9,7 +9,11 @@ import pathlib
 
 import pandas as pd
 
+from repro.core import rtbs
+from repro.datagen.gaussian_mixture import GaussianMixtureStream
 from repro.distributed import DRTBS, reservoir
+from repro.experiments import harness
+from repro.ml.knn import KNNClassifier
 
 RESERVOIR_OPS = (
     "replace_random", "insert_all", "keep_random", "extract_one", "insert_rows", "clear",
@@ -23,6 +27,18 @@ def test_wrapped_names_exist():
     for op in RESERVOIR_OPS:
         assert callable(getattr(reservoir.CoPartitionedReservoir, op)), op
     assert callable(DRTBS.advance)
+    # serial layers, wrapped on rtbs-bursty and knn-prequential
+    for owner, name in (
+        (rtbs.RTBS, "advance"),
+        (rtbs.RTBS, "sample"),
+        (rtbs, "downsample"),
+        (KNNClassifier, "fit"),
+        (KNNClassifier, "predict"),
+        (harness, "run_prequential"),
+        (harness, "build_stream"),
+        (GaussianMixtureStream, "batch"),
+    ):
+        assert callable(getattr(owner, name)), name
 
 
 def test_benchmark_wraps_these_ops():

@@ -76,7 +76,7 @@ class TestTheorem41:
 
     @pytest.mark.parametrize("C,Cp", GRID)
     def test_scaling(self, C, Cp):
-        rng = make_rng(abs(hash((C, Cp, "t41"))) % 2**32)
+        rng = make_rng([round(C * 1000), round(Cp * 1000), 41])
         trials = 6000
         k = math.floor(C + 1e-9)
         items = list(range(k + (1 if C - k > 1e-9 else 0)))

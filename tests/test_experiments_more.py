@@ -1,5 +1,11 @@
 """Shape/behaviour tests for the remaining experiment drivers
-(Naive Bayes E5, varying batch E2, runtime helpers E6/E7)."""
+(Naive Bayes E5, varying batch E2, runtime helpers E6/E7) and the
+cross-process reproducibility of Table 1 (E1)."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +28,38 @@ class TestNaiveBayesExperiment:
         res = run_naive_bayes(n_runs=1, seed=3)
         txt = format_naive_bayes(res)
         assert "R-TBS" in txt and "20% ES" in txt
+
+
+TINY_TABLE1 = """
+from repro.datagen.modes import Periodic
+from repro.experiments.table1 import run_table1
+
+res = run_table1(
+    n_runs=1, lambdas=(0.07,), patterns=(Periodic(10, 10),),
+    n=200, b=20, warmup=10, n_batches=25, skip=5, seed=3,
+)
+print(repr(sorted(res.items())))
+"""
+
+
+class TestTable1Reproducible:
+    def test_same_output_under_different_hash_seeds(self):
+        """String hashing is salted per process; Table 1's streams must
+        not depend on it."""
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", TINY_TABLE1],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert "R-TBS" in outs[0]
 
 
 class TestVaryingBatchHelpers:

@@ -55,6 +55,48 @@ class TestKNN:
         with pytest.raises(ValueError):
             KNNClassifier().fit(np.zeros((3, 2)), np.zeros(2))
 
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_per_row_reference(self, d, labels):
+        # Even k over 2-3 classes makes vote ties frequent; the sample is
+        # sometimes smaller than k; the first batch has no rows.
+        # Coordinates are continuous, so no two distances tie and the
+        # nearest-first order is well defined.
+        tied = 0
+        for c in range(50):
+            rng = np.random.default_rng([d, labels == "str", c])
+            n = int(rng.integers(1, 40))
+            k = int(rng.choice([2, 4, 6, 8, 3]))
+            T = rng.normal(size=(n, d))
+            X = rng.normal(size=(0 if c == 0 else int(rng.integers(1, 20)), d))
+            y = rng.integers(0, int(rng.integers(2, 4)), n)
+            if labels == "str":
+                y = np.array(["red", "green", "blue"])[y]
+            pred = KNNClassifier(k=k).fit(T, y).predict(X)
+            want, n_tied = _reference_knn(T, y, X, k)
+            assert pred.dtype == y.dtype
+            np.testing.assert_array_equal(pred, want, err_msg=f"config {c}")
+            tied += n_tied
+        assert tied >= 50  # the tie-break decided many rows
+
+
+def _reference_knn(T, y, X, k):
+    """Per-row kNN: stable sort by distance, count the k nearest votes,
+    take the nearest vote of a best-supported class. Also returns how
+    many rows had a tie for the most votes."""
+    k = min(k, len(T))
+    out = np.empty(len(X), dtype=y.dtype)
+    n_tied = 0
+    for i, x in enumerate(X):
+        votes = y[np.argsort(((T - x) ** 2).sum(axis=1), kind="stable")[:k]]
+        counts = {}
+        for v in votes:
+            counts[v] = counts.get(v, 0) + 1
+        best = max(counts.values())
+        n_tied += list(counts.values()).count(best) > 1
+        out[i] = next(v for v in votes if counts[v] == best)
+    return out, n_tied
+
 
 class TestLinearRegression:
     def test_recovers_coefficients(self):

@@ -10,7 +10,6 @@ from repro.rng import (
     make_rng,
     multivariate_hypergeometric_split,
     sample_without_replacement,
-    split_indices,
     stochastic_round,
 )
 
@@ -130,22 +129,6 @@ class TestSampleWithoutReplacement:
                 counts[i] += 1
         freq = counts / 10000
         assert np.all(np.abs(freq - 0.3) < 0.025)
-
-
-class TestSplitIndices:
-    def test_partition(self, rng):
-        items = list(range(15))
-        picked, rest = split_indices(rng, items, 6)
-        assert len(picked) == 6 and len(rest) == 9
-        assert sorted(picked + rest) == items
-
-    def test_zero(self, rng):
-        picked, rest = split_indices(rng, [1, 2], 0)
-        assert picked == [] and rest == [1, 2]
-
-    def test_all(self, rng):
-        picked, rest = split_indices(rng, [1, 2], 5)
-        assert sorted(picked) == [1, 2] and rest == []
 
 
 class TestMultivariateHypergeometricSplit:
