@@ -21,6 +21,11 @@ Four cases, following the paper's pseudocode and correctness proof:
    via Swap1); otherwise ``⌊C'⌋+1`` full items are sampled and one of
    them becomes the new partial via Move1 (old partial ejected).
 4. Finally, if ``C'`` is integral the partial slot is cleared.
+
+Swap1 is ``extract_one`` then ``insert_rows`` of the old partial; Move1
+is ``extract_one`` alone. ``A`` is reached only through the reservoir
+operations listed in ``repro.core.latent``, so this one function serves
+the serial sampler and D-R-TBS alike.
 """
 from __future__ import annotations
 
@@ -28,8 +33,7 @@ import math
 
 import numpy as np
 
-from repro.core.latent import LatentSample, frac
-from repro.rng import sample_without_replacement
+from repro.core.latent import LatentSample
 
 _EPS = 1e-9
 
@@ -56,14 +60,14 @@ def downsample(L: LatentSample, target: float, rng: np.random.Generator) -> None
     fC, fCp = _ffrac(C), _ffrac(Cp)
     kC, kCp = _ifloor(C), _ifloor(Cp)
     U = rng.random()
+    A = L.full
 
     if kCp == 0:
         # Case 1: no full items retained.
         keep_prob = fC / C if fC > 0 else 0.0  # frac(C)/C; C<1 ⇒ prob 1
         if U > keep_prob:
-            (new_partial,) = sample_without_replacement(rng, L.full, 1)
-            L.partial = new_partial
-        L.full = []
+            L.partial = A.extract_one()
+        A.clear()
     elif kCp == kC:
         # Case 2: no deletions; requires a partial item (fC > 0).
         if L.partial is None:
@@ -72,19 +76,26 @@ def downsample(L: LatentSample, target: float, rng: np.random.Generator) -> None
             )
         rho = (1.0 - (Cp / C) * fC) / (1.0 - fCp)
         if U > rho:
-            L.swap1(rng)
+            _swap1(L)
     else:
         # Case 3: 0 < ⌊C'⌋ < ⌊C⌋.
         p_promote = (Cp / C) * fC
         if L.partial is not None and U <= p_promote:
-            L.full = sample_without_replacement(rng, L.full, kCp)
-            L.swap1(rng)  # old partial becomes full, a sampled item → partial
+            A.keep_random(kCp)
+            _swap1(L)  # old partial becomes full, a sampled item → partial
         else:
-            L.full = sample_without_replacement(rng, L.full, kCp + 1)
-            L.move1(rng)  # a sampled item → partial, old partial ejected
+            A.keep_random(kCp + 1)
+            L.partial = A.extract_one()  # Move1: old partial ejected
 
     L.weight = Cp
     if _ffrac(Cp) <= _EPS:
         L.partial = None
         L.weight = float(kCp)
     L.check_invariants()
+
+
+def _swap1(L: LatentSample) -> None:
+    """``I ← Sample(A,1); A ← (A∖I) ∪ π; π ← I`` (π nonempty)."""
+    new_partial = L.full.extract_one()
+    L.full.insert_rows([L.partial])
+    L.partial = new_partial

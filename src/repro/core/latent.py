@@ -6,13 +6,28 @@ real-valued sample weight ``C``. A realized sample ``S`` is drawn from
 ``L`` via eq. (2): every full item is always included, the partial item
 is included with probability ``frac(C)``, so ``E[|S|] = C`` (eq. (3)).
 
-Items are opaque Python objects; the structure never inspects them.
+``A`` lives in a *reservoir*, which Algorithms 2 and 3 touch only
+through these operations:
+
+* ``count`` — ``|A|``, known without touching the items;
+* ``insert_all(batch, sizes)`` — add a whole batch (``sizes`` are its
+  per-partition row counts);
+* ``insert_rows(rows)`` — add a few items;
+* ``keep_random(k)`` — keep ``k`` uniform survivors;
+* ``extract_one()`` — remove and return one uniform item;
+* ``replace_random(m, batch, sizes)`` — replace ``m`` uniform items by
+  ``m`` uniform items of the batch;
+* ``clear()``.
+
+``ListReservoir`` keeps them in a Python list for the serial sampler;
+``repro.distributed.reservoir`` keeps them in Spark. Items are opaque
+objects; neither the latent sample nor the list reservoir inspects them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,11 +39,59 @@ def frac(x: float) -> float:
     return x - math.floor(x)
 
 
+class ListReservoir:
+    """Full items in a Python list. Every draw comes from ``rng``, the
+    owning sampler's generator, so the reservoir's draws interleave with
+    the sampler's own in one reproducible stream."""
+
+    def __init__(self, items: Iterable[Any], rng: np.random.Generator):
+        self.items = list(items)
+        self.rng = rng
+
+    @property
+    def count(self) -> int:
+        return len(self.items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.items)
+
+    def insert_all(self, batch: Sequence[Any], sizes: Sequence[int]) -> None:
+        self.items.extend(batch)
+
+    def insert_rows(self, rows: Sequence[Any]) -> None:
+        self.items.extend(rows)
+
+    def keep_random(self, k: int) -> None:
+        # Draws even when k == count: a permutation that orders the list.
+        self.items = sample_without_replacement(self.rng, self.items, k)
+
+    def extract_one(self) -> Any | None:
+        if not self.items:
+            return None
+        (i,) = self.rng.choice(len(self.items), size=1, replace=False)
+        return self.items.pop(int(i))  # by index: duplicate items are safe
+
+    def replace_random(self, m: int, batch: Sequence[Any], sizes: Sequence[int]) -> None:
+        if m <= 0:
+            return
+        idx = self.rng.choice(len(self.items), size=m, replace=False)
+        drop = set(int(i) for i in idx)
+        kept = [x for i, x in enumerate(self.items) if i not in drop]
+        self.items = kept + sample_without_replacement(self.rng, batch, m)
+
+    def clear(self) -> None:
+        self.items = []
+
+
 @dataclass
 class LatentSample:
-    """Mutable latent sample ``(A, π, C)`` with the paper's invariants."""
+    """Mutable latent sample ``(A, π, C)`` with the paper's invariants;
+    ``full`` is the reservoir holding ``A``."""
 
-    full: list[Any] = field(default_factory=list)
+    full: Any
     partial: Any | None = None
     weight: float = 0.0
 
@@ -40,9 +103,9 @@ class LatentSample:
         |A| == ⌊C⌋ and π nonempty iff C is non-integral."""
         if self.weight < -1e-9:
             raise AssertionError(f"negative sample weight {self.weight}")
-        if len(self.full) != math.floor(self.weight + 1e-9):
+        if self.full.count != math.floor(self.weight + 1e-9):
             raise AssertionError(
-                f"|A|={len(self.full)} != floor(C)={math.floor(self.weight + 1e-9)}"
+                f"|A|={self.full.count} != floor(C)={math.floor(self.weight + 1e-9)}"
             )
         has_frac = frac(self.weight + 1e-9) > 2e-9
         if has_frac and self.partial is None:
@@ -53,7 +116,7 @@ class LatentSample:
     @property
     def footprint(self) -> int:
         """Number of stored items; always ≤ ⌊C⌋ + 1."""
-        return len(self.full) + (1 if self.partial is not None else 0)
+        return self.full.count + (1 if self.partial is not None else 0)
 
     def items(self) -> list[Any]:
         """All stored items (full items plus the partial one, if any)."""
@@ -63,35 +126,18 @@ class LatentSample:
         return out
 
     # ------------------------------------------------------------------
-    # Subroutines Swap1 / Move1 (Sec. 4.2)
-    # ------------------------------------------------------------------
-    def swap1(self, rng: np.random.Generator) -> None:
-        """Move a random item of ``A`` to ``π``; old partial (if any)
-        joins ``A``: ``I ← Sample(A,1); A ← (A∖I) ∪ π; π ← I``."""
-        (i,) = sample_without_replacement(rng, self.full, 1)
-        self.full.remove(i)
-        if self.partial is not None:
-            self.full.append(self.partial)
-        self.partial = i
-
-    def move1(self, rng: np.random.Generator) -> None:
-        """Move a random item of ``A`` to ``π``, ejecting the old partial:
-        ``I ← Sample(A,1); A ← A∖I; π ← I``."""
-        (i,) = sample_without_replacement(rng, self.full, 1)
-        self.full.remove(i)
-        self.partial = i
-
-    # ------------------------------------------------------------------
     # Realization (eq. (2))
     # ------------------------------------------------------------------
+    def draw_partial(self, rng: np.random.Generator) -> bool:
+        """Whether a realized sample includes the partial item: with
+        probability ``frac(C)``. Draws only when there is a partial item."""
+        f = frac(self.weight + 1e-9)
+        return self.partial is not None and f > 2e-9 and rng.random() < f
+
     def realize(self, rng: np.random.Generator) -> list[Any]:
         """Draw a realized sample ``S`` from ``L``: full items surely,
         the partial item with probability ``frac(C)``."""
         out = list(self.full)
-        f = frac(self.weight + 1e-9)
-        if self.partial is not None and f > 2e-9 and rng.random() < f:
+        if self.draw_partial(rng):
             out.append(self.partial)
         return out
-
-    def copy(self) -> "LatentSample":
-        return LatentSample(list(self.full), self.partial, self.weight)

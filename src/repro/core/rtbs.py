@@ -14,6 +14,10 @@ and minimal sample-size variance (Thm 4.4, via stochastic rounding).
 Batches may arrive at arbitrary real-valued time gaps: ``advance``
 takes ``dt`` and decays by ``e^{-λ·dt}`` (Sec. 2, "our results can be
 applied to arbitrary sequences of real-valued batch arrival times").
+
+Algorithm 2 acts on the full items only through the reservoir operations
+of ``repro.core.latent``. Here they live in a ``ListReservoir``;
+``repro.distributed.DRTBS`` runs the same code over a Spark reservoir.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.core.downsample import downsample
-from repro.core.latent import LatentSample
-from repro.rng import make_rng, sample_without_replacement, stochastic_round
+from repro.core.latent import LatentSample, ListReservoir
+from repro.rng import make_rng, stochastic_round
 
 _EPS = 1e-9
 
@@ -49,7 +53,9 @@ class RTBS:
         self.lam = float(lam)
         self.n = int(n)
         self.rng = make_rng(seed)
-        self.latent = LatentSample(full=list(initial), weight=float(len(initial)))
+        self.latent = LatentSample(
+            ListReservoir(initial, self.rng), weight=float(len(initial))
+        )
         self.total_weight = float(len(initial))  # W
 
     # ------------------------------------------------------------------
@@ -61,9 +67,15 @@ class RTBS:
     def advance(self, batch: Iterable[Any], dt: float = 1.0) -> None:
         """Process one arriving batch after a time gap ``dt`` (Alg. 2)."""
         batch = list(batch)
-        b = len(batch)
+        self._advance(batch, [len(batch)], dt)
+
+    def _advance(self, batch: Any, sizes: Sequence[int], dt: float) -> None:
+        """Algorithm 2 for a batch of ``sum(sizes)`` items, ``sizes`` being
+        its per-partition counts, as the reservoir's inserts take them."""
+        b = sum(sizes)
         decay = math.exp(-self.lam * dt)
         L, n = self.latent, self.n
+        A = L.full
 
         if self.total_weight < n - _EPS:
             # ---- previously unsaturated: C == W ----------------------
@@ -71,35 +83,36 @@ class RTBS:
             if W > _EPS and W < L.weight - _EPS:
                 downsample(L, W, self.rng)
             elif W <= _EPS:
-                L.full, L.partial, L.weight = [], None, 0.0
+                A.clear()
+                L.partial, L.weight = None, 0.0
             W += b
-            L.full.extend(batch)  # accept all new items (eq. (5): prob 1)
+            if b > 0:
+                A.insert_all(batch, sizes)  # accept all new items (eq. (5): prob 1)
             L.weight += b
             self.total_weight = W
             if W > n + _EPS:  # overshoot: now saturated
                 downsample(L, float(n), self.rng)
         else:
             # ---- previously saturated: C == n, π == ∅ ----------------
-            W = self.total_weight * decay + b
+            decayed = self.total_weight * decay
+            W = decayed + b
             self.total_weight = W
             if W >= n - _EPS:
                 # still saturated: accept E[m] = B_t·n/W items via
                 # stochastic rounding; they replace random victims.
                 m = stochastic_round(self.rng, b * n / W) if b else 0
-                m = min(m, b, n)
-                if m > 0:
-                    # index-based victim removal: duplicate-safe for any
-                    # item type (ids/equality never consulted).
-                    idx = self.rng.choice(len(L.full), size=m, replace=False)
-                    drop = set(int(i) for i in idx)
-                    kept = [x for i, x in enumerate(L.full) if i not in drop]
-                    L.full = kept + sample_without_replacement(self.rng, batch, m)
+                A.replace_random(min(m, b, n), batch, sizes)
             else:
                 # undershoot: decay weight below n; downsample then
-                # accept the whole batch as full items.
-                target = W - b  # = decay · W_{t-1} > 0
-                downsample(L, target, self.rng)
-                L.full.extend(batch)
+                # accept the whole batch as full items. After a long gap
+                # the decayed weight can vanish next to b (W - b would
+                # round to 0), so it is tested on its own, as above.
+                if decayed > _EPS:
+                    downsample(L, decayed, self.rng)
+                else:
+                    A.clear()
+                if b > 0:
+                    A.insert_all(batch, sizes)
                 L.weight = W
         L.check_invariants()
 

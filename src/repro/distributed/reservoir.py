@@ -1,5 +1,13 @@
 """Distributed reservoir backends (Sec. 5.2).
 
+A reservoir holds the full items of D-R-TBS's latent sample. Algorithms
+2 and 3 (``repro.core.rtbs``, ``repro.core.downsample``) reach it only
+through the reservoir operations ``count``, ``insert_all(batch, sizes)``,
+``insert_rows(rows)``, ``keep_random(k)``, ``extract_one()``,
+``replace_random(m, batch, sizes)`` and ``clear()``, the interface the
+serial ``ListReservoir`` also has; ``to_pandas()`` realizes the items.
+``count`` is kept on the driver, so reading it runs no Spark job.
+
 Two implementations of the paper's reservoir data structure:
 
 * ``CoPartitionedReservoir`` — the paper's recommended design: reservoir
@@ -92,6 +100,7 @@ class CoPartitionedReservoir:
         self.seed = seed
         self.op = 0  # monotone op counter: seeds the per-partition streams
         self.df: DataFrame | None = None
+        self.schema = None  # the batches' schema, kept across clear()
         self.count = 0
         self._sizes: list[int] | None = []
         self.P = target_partitions or spark.sparkContext.defaultParallelism
@@ -159,6 +168,7 @@ class CoPartitionedReservoir:
         ``sizes`` the caller measured; partitions concatenate (the
         automatic co-partitioning property of Sec. 5.2)."""
         if self.df is None:
+            self.schema = batch_df.schema
             self._set_df(batch_df, list(sizes))
         else:
             self._set_df(self.df.unionByName(batch_df), self.sizes() + list(sizes))
@@ -225,7 +235,9 @@ class CoPartitionedReservoir:
 
     def to_pandas(self) -> pd.DataFrame:
         if self.df is None:
-            return pd.DataFrame()
+            if self.schema is None:
+                return pd.DataFrame()
+            return self.spark.createDataFrame([], self.schema).toPandas()
         return self.df.toPandas()
 
 
@@ -376,7 +388,9 @@ class KVReservoir:
         self.next_slot += len(rows)
         pdf = pd.DataFrame(rows)
         pdf[self.SLOT] = slots
-        small = self.spark.createDataFrame(pdf, schema=self.df.schema)
+        # createDataFrame matches columns by position, and the joins of
+        # keep_random put the slot column first.
+        small = self.spark.createDataFrame(pdf[self.df.columns], schema=self.df.schema)
         self.live_slots = np.concatenate([self.live_slots, slots])
         self._materialize(self.df.unionByName(small.repartition(self.P, self.SLOT)))
 

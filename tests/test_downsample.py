@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from repro.core.downsample import downsample
-from repro.core.latent import LatentSample
+from repro.core.latent import LatentSample, ListReservoir
 from repro.rng import make_rng
 
 
-def _make_latent(C: float) -> LatentSample:
-    """A latent sample of weight C over items 0..⌈C⌉-1 (partial = last)."""
+def _make_latent(C: float, rng) -> LatentSample:
+    """A latent sample of weight C over items 0..⌈C⌉-1 (partial = last)
+    whose reservoir draws from ``rng``."""
     k = math.floor(C + 1e-9)
-    full = list(range(k))
+    full = ListReservoir(range(k), rng)
     partial = k if C - k > 1e-9 else None
-    return LatentSample(full=full, partial=partial, weight=C)
+    return LatentSample(full, partial=partial, weight=C)
 
 
 GRID = [
@@ -39,7 +40,7 @@ class TestStructure:
     def test_postconditions(self, C, Cp):
         rng = make_rng(hash((C, Cp)) % 2**32)
         for _ in range(200):
-            L = _make_latent(C)
+            L = _make_latent(C, rng)
             downsample(L, Cp, rng)
             L.check_invariants()
             assert abs(L.weight - Cp) < 1e-9
@@ -48,7 +49,7 @@ class TestStructure:
     @pytest.mark.parametrize("C,Cp", GRID)
     def test_items_come_from_input(self, C, Cp):
         rng = make_rng(0)
-        L = _make_latent(C)
+        L = _make_latent(C, rng)
         before = set(L.items())
         downsample(L, Cp, rng)
         assert set(L.items()) <= before
@@ -56,16 +57,16 @@ class TestStructure:
     def test_bad_target_raises(self):
         rng = make_rng(0)
         with pytest.raises(ValueError):
-            downsample(_make_latent(3.0), 0.0, rng)
+            downsample(_make_latent(3.0, rng), 0.0, rng)
         with pytest.raises(ValueError):
-            downsample(_make_latent(3.0), 3.5, rng)
+            downsample(_make_latent(3.0, rng), 3.5, rng)
         with pytest.raises(ValueError):
-            downsample(_make_latent(3.0), -1.0, rng)
+            downsample(_make_latent(3.0, rng), -1.0, rng)
 
     def test_integral_target_clears_partial(self):
         rng = make_rng(3)
         for _ in range(100):
-            L = _make_latent(4.7)
+            L = _make_latent(4.7, rng)
             downsample(L, 3.0, rng)
             assert L.partial is None
             assert len(L.full) == 3
@@ -82,7 +83,7 @@ class TestTheorem41:
         items = list(range(k + (1 if C - k > 1e-9 else 0)))
         counts = {i: 0 for i in items}
         for _ in range(trials):
-            L = _make_latent(C)
+            L = _make_latent(C, rng)
             downsample(L, Cp, rng)
             for i in L.realize(rng):
                 counts[i] += 1
@@ -100,7 +101,7 @@ class TestTheorem41:
         for C, Cp in [(5.5, 3.2), (4.7, 4.2), (3.0, 0.5)]:
             sizes = []
             for _ in range(8000):
-                L = _make_latent(C)
+                L = _make_latent(C, rng)
                 downsample(L, Cp, rng)
                 sizes.append(len(L.realize(rng)))
             assert abs(np.mean(sizes) - Cp) < 0.05, (C, Cp)

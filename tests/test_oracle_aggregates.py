@@ -1,131 +1,110 @@
-"""DuckDB-oracle checks for the deterministic Spark aggregates that the
-distributed samplers and experiment harnesses rely on.
+"""DuckDB-oracle checks for the deterministic aggregates that the
+distributed samplers and their checks rely on.
 
 The samplers themselves are randomized (checked statistically
-elsewhere); everything deterministic that flows through Spark SQL —
-batch sizing, stream bucketing, aggregate statistics computed on
-realized samples — is verified against DuckDB here, per the repo's
-correctness policy.
+elsewhere); what is deterministic given their state — batch sizing, the
+total decayed weight, the per-batch age counts of a realized sample —
+is verified against DuckDB here, per the repo's correctness policy.
 """
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.distributed import DRTBS
+from repro.distributed.common import partition_sizes, tag_positions
 from repro.oracle import assert_equivalent
 
+SCHEMA = "t long, i long"
+LAM, N = 0.3, 40
+# (batch size, time gap before it): every Alg. 2 branch, an empty batch,
+# dt = 0 and a real-valued gap.
+SCHED = [(60, 1.0), (10, 1.0), (0, 1.0), (25, 0.0), (5, 2.5), (90, 1.0), (3, 1.0)]
+
+
+def make_batch(spark, t, size):
+    return spark.createDataFrame(
+        pd.DataFrame({"t": [t] * size, "i": list(range(size))}), schema=SCHEMA
+    )
+
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=0).localCheckpoint(eager=True)
+def batches(spark):
+    """Checkpointed batches as ``DRTBS.advance`` sizes them: local data,
+    a repartitioned frame with empty partitions, and an empty frame."""
+    frames = [
+        make_batch(spark, 0, 37),
+        make_batch(spark, 1, 5).repartition(8),
+        make_batch(spark, 2, 0),
+    ]
+    return [df.localCheckpoint(eager=True) for df in frames]
 
 
 @pytest.fixture(scope="module")
-def orders_df(spark):
-    return synth_data.orders(spark, sf=0.002, seed=1).localCheckpoint(eager=True)
+def run(spark):
+    """A Dist-CP D-R-TBS over ``SCHED``: W after every round, and one
+    realized sample."""
+    d = DRTBS(spark, LAM, N, seed=8, storage="cp", strategy="dist")
+    weights = []
+    for t, (b, dt) in enumerate(SCHED):
+        d.advance(make_batch(spark, t, b), dt=dt)
+        weights.append(d.total_weight)
+    return weights, d.sample_pandas(rng=np.random.default_rng(2))
 
 
 class TestStreamBucketing:
-    """The runtime experiments stream lineitem in ship-month batches;
-    the per-batch sizes |B_t| feed straight into the W/C recursions, so
+    """The batch sizes |B_t| feed straight into the W/C recursions, so
     they must be exactly right."""
 
-    def test_batch_sizes_by_month(self, spark, li):
-        got = (
-            li.groupBy(F.date_trunc("month", "l_shipdate").alias("batch_month"))
-            .agg(F.count("*").alias("batch_size"))
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT date_trunc('month', l_shipdate) AS batch_month,
-                   count(*) AS batch_size
-            FROM lineitem GROUP BY 1
-            """,
-            lineitem=li,
-        )
+    def test_total_stream_size(self, batches):
+        for df in batches:
+            got = pd.DataFrame({"n_items": [sum(partition_sizes(df))]})
+            assert_equivalent(got, "SELECT count(*) AS n_items FROM batch", batch=df)
 
-    def test_total_stream_size(self, spark, li):
-        got = li.agg(F.count("*").alias("n_items"))
-        assert_equivalent(
-            got, "SELECT count(*) AS n_items FROM lineitem", lineitem=li
-        )
+    def test_partition_sizes(self, batches):
+        """Per-partition sizes (Spark SQL's ``spark_partition_id``) against
+        the partition ids a Python worker reads from its task context."""
+        for df in batches:
+            sizes = partition_sizes(df)
+            got = pd.DataFrame(
+                {"pid": np.arange(len(sizes)), "n": sizes}
+            ).query("n > 0")
+            assert_equivalent(
+                got,
+                "SELECT __pid AS pid, count(*) AS n FROM tagged GROUP BY 1",
+                tagged=tag_positions(df),
+            )
 
 
 class TestSampleAggregates:
-    """Aggregates computed over a (here: deterministic) subset of the
-    stream — the same shape the ML harness computes over samples."""
-
-    def test_class_frequencies(self, spark, li):
-        got = (
-            li.groupBy(F.col("l_returnflag").alias("flag"))
-            .agg(
-                F.count("*").alias("cnt"),
-                F.round(F.sum("l_quantity"), 4).alias("qty"),
-            )
+    def test_age_counts(self, run):
+        """Per-batch counts of a realized sample, as the Thm 4.2 age
+        tests take them (``np.bincount`` over the arrival time)."""
+        _, sample = run
+        counts = np.bincount(sample["t"].to_numpy(), minlength=len(SCHED))
+        got = pd.DataFrame({"t": np.arange(len(SCHED)), "cnt": counts}).query("cnt > 0")
+        assert_equivalent(
+            got, "SELECT t, count(*) AS cnt FROM sample GROUP BY t", sample=sample
         )
+
+    def test_decayed_weight_aggregation(self, run):
+        """W_t = Σ_j B_j e^{-λ(τ_t − τ_j)}, τ the arrival times, against
+        the sampler's recursion after every round."""
+        weights, _ = run
+        arrivals = pd.DataFrame(
+            {
+                "j": np.arange(len(SCHED)),
+                "b": [b for b, _ in SCHED],
+                "tau": np.cumsum([dt for _, dt in SCHED]),
+            }
+        )
+        got = pd.DataFrame({"t": np.arange(len(SCHED)), "w": weights})
+        assert any(w > N for w in weights) and any(w < N for w in weights[1:])
         assert_equivalent(
             got,
-            """
-            SELECT l_returnflag AS flag, count(*) AS cnt,
-                   round(sum(l_quantity), 4) AS qty
-            FROM lineitem GROUP BY 1
+            f"""
+            SELECT cur.j AS t, sum(prev.b * exp(-{LAM} * (cur.tau - prev.tau))) AS w
+            FROM arrivals cur JOIN arrivals prev ON prev.j <= cur.j
+            GROUP BY cur.j
             """,
-            lineitem=li,
-        )
-
-    def test_join_shape_for_enriched_stream(self, spark, li, orders_df):
-        """The kNN/regression streams attach batch metadata via joins;
-        exercise the shuffle-join path (broadcast is disabled in
-        conftest) and oracle-check it."""
-        got = (
-            li.join(orders_df, li.l_orderkey == orders_df.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("cnt"))
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT o_orderpriority, count(*) AS cnt
-            FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY 1
-            """,
-            lineitem=li,
-            orders=orders_df,
-        )
-
-    def test_decayed_weight_aggregation(self, spark, li):
-        """Total decayed weight W_t = Σ_j B_j e^{-λ(t-j)} computed in
-        Spark SQL over month-bucketed batches, vs DuckDB."""
-        lam = 0.07
-        monthed = li.withColumn(
-            "j", F.months_between(F.date_trunc("month", "l_shipdate"), F.lit("1992-01-01"))
-        )
-        got = monthed.agg(
-            F.round(F.sum(F.exp(F.lit(-lam) * (F.lit(83.0) - F.col("j")))), 4).alias(
-                "total_weight"
-            )
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT round(sum(exp(-0.07 * (83.0 - j))), 4) AS total_weight
-            FROM (
-              SELECT datediff('month', DATE '1992-01-01',
-                              date_trunc('month', l_shipdate))::DOUBLE AS j
-              FROM lineitem
-            )
-            """,
-            lineitem=li,
-        )
-
-
-class TestUniformKeysOracle:
-    def test_zipf_key_counts(self, spark):
-        z = synth_data.zipf_keys(spark, n=5000, n_keys=50, seed=3).localCheckpoint(
-            eager=True
-        )
-        got = z.groupBy("k").agg(F.count("*").alias("cnt"))
-        assert_equivalent(
-            got, "SELECT k, count(*) AS cnt FROM zipf GROUP BY k", zipf=z
+            arrivals=arrivals,
         )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.brs import BRS
 from repro.core.downsample import downsample
-from repro.core.latent import LatentSample
+from repro.core.latent import LatentSample, ListReservoir
 from repro.core.rtbs import RTBS
 from repro.core.ttbs import TTBS
 from repro.rng import make_rng
@@ -62,12 +62,13 @@ class TestDownsampleProperties:
         if Cp <= 1e-6:
             return
         k = math.floor(C + 1e-9)
+        rng = make_rng(seed)
         L = LatentSample(
-            full=list(range(k)),
+            ListReservoir(range(k), rng),
             partial=(k if C - k > 1e-9 else None),
             weight=C,
         )
-        downsample(L, Cp, make_rng(seed))
+        downsample(L, Cp, rng)
         L.check_invariants()
         assert abs(L.weight - Cp) < 1e-9 or abs(L.weight - round(Cp)) < 1e-9
 

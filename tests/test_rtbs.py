@@ -129,6 +129,15 @@ class TestDynamics:
         assert len(r.latent.full) == r.n
         r.latent.check_invariants()
 
+    def test_long_gap_undershoot(self):
+        # e^{-0.1·400}·10 is below the ulp of 3: W - b rounds to 0, but
+        # the decayed weight has vanished, so only the new batch remains.
+        r = RTBS(0.1, 5)
+        r.advance(range(10))
+        r.advance(range(10, 13), dt=400)
+        assert r.total_weight == 3.0 and r.sample_weight == 3.0
+        assert sorted(r.sample()) == [10, 11, 12]
+
     def test_lambda_zero_is_plain_reservoir(self):
         # λ=0: no decay; W counts all arrivals, cap respected
         r = RTBS(0.0, 5, seed=11)
