@@ -18,7 +18,10 @@ the JVM executors with no Python worker:
   union partition ids, which are the branch ids offset by the partition
   count of the branches before them. A frame of local data must be
   checkpointed first: over it, Spark's optimizer evaluates both ids on
-  the driver as if the frame were one partition.
+  the driver as if the frame were one partition;
+* ``addresses`` gives the driver the same address for each picked
+  ``(partition, offset)``, which the key-value reservoir joins the batch
+  on.
 
 Two decision strategies from the paper:
 
@@ -34,15 +37,15 @@ Two decision strategies from the paper:
   (seed, round) through a ``SeedSequence`` rather than as ``seed +
   round``, which would give round ``r``'s partition ``i + 1`` the stream
   of round ``r + 1``'s partition ``i`` (the paper cites jump-ahead PRNGs
-  [20] for the same guarantee).
+  [20] for the same guarantee). D-T-TBS's ``DataFrame.sample`` seeds are
+  derived the same way.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -122,6 +125,14 @@ def position_spec(
     return spec
 
 
+def addresses(positions: Mapping[int, np.ndarray]) -> np.ndarray:
+    """The addresses ``(pid << 33) + offset`` that
+    ``monotonically_increasing_id`` gives the rows at the given offsets of
+    every partition, in ascending order."""
+    parts = [(pid << _PID_SHIFT) + np.asarray(offs, dtype=np.int64) for pid, offs in positions.items()]
+    return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+
+
 def _bitmap(offsets: np.ndarray) -> np.ndarray:
     """Offsets as 64-bit words: offset ``o`` is bit ``o % 64`` of word
     ``o // 64``."""
@@ -175,8 +186,7 @@ def select(
         word = f"try_element_at({_BITMAP}, int(shiftright({offset}, 6)) + 1)"
         at_address = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
     elif n_addresses:
-        addresses = [(pid << _PID_SHIFT) + int(o) for pid, offs in offsets.items() for o in offs]
-        at_address = f"{_ROW} IN ({', '.join(map(str, addresses))})"
+        at_address = f"{_ROW} IN ({', '.join(map(str, addresses(offsets)))})"
     counts = {
         pid: int(p) for pid, (_m, p) in spec.items() if isinstance(p, (int, np.integer))
     }
@@ -199,30 +209,3 @@ def select(
             f"CASE shiftright({_ROW}, {_PID_SHIFT}) {' '.join(cases)} ELSE true END"
         )
     return out.select(*cols)
-
-
-def _collect_partition(it: Iterator[pd.DataFrame]) -> pd.DataFrame | None:
-    chunks = [pdf for pdf in it]
-    if not chunks:
-        return None
-    return pd.concat(chunks, ignore_index=True)
-
-
-def tag_positions(df: DataFrame) -> DataFrame:
-    """Append ``__pid``/``__pos`` columns identifying each row's slot —
-    the (partition, position) tagging used by the centralized-decision
-    retrieval joins (Fig. 6(a))."""
-    fields = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in df.schema)
-    schema = f"{fields}, __pid int, __pos long"
-
-    def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pid = TaskContext.get().partitionId()
-        pdf = _collect_partition(it)
-        if pdf is None:
-            return
-        pdf = pdf.copy()
-        pdf["__pid"] = pid
-        pdf["__pos"] = np.arange(len(pdf), dtype=np.int64)
-        yield pdf
-
-    return df.mapInPandas(fn, schema=schema)

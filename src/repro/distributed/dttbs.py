@@ -13,6 +13,8 @@ import math
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.distributed.common import _rand_seed
+
 
 class DTTBS:
     """Distributed targeted-size time-biased sampler."""
@@ -47,8 +49,12 @@ class DTTBS:
     def advance(self, batch_df: DataFrame, dt: float = 1.0) -> None:
         self.round += 1
         p_eff = math.exp(-self.lam * dt)
+        # Spark seeds partition i with seed + i, so the two passes' seeds
+        # are drawn from (seed, pass) rather than counted up from seed.
         accepted = batch_df.sample(
-            withReplacement=False, fraction=min(1.0, self.q), seed=self.seed + 2 * self.round
+            withReplacement=False,
+            fraction=min(1.0, self.q),
+            seed=_rand_seed(self.seed, 2 * self.round),
         )
         if self.df is None:
             df = accepted
@@ -56,7 +62,7 @@ class DTTBS:
             retained = self.df.sample(
                 withReplacement=False,
                 fraction=min(1.0, p_eff),
-                seed=self.seed + 2 * self.round + 1,
+                seed=_rand_seed(self.seed, 2 * self.round + 1),
             )
             df = retained.unionByName(accepted)
         if df.rdd.getNumPartitions() > 2 * self.P:

@@ -21,31 +21,34 @@ Two implementations of the paper's reservoir data structure:
   store (Memcached/Redis in the paper): every item lives under a slot
   key, the store is hash-partitioned by slot, and inserts must be
   *shuffled* to their slot's partition (the simulated network I/O).
-  Insert retrieval from the batch is either a repartition join ("RJ",
-  shuffles the whole batch) or a co-located join ("CJ", broadcast
-  position lists + local filter — Fig. 6(a)).
+  Insert retrieval joins the batch with the driver's pick set Q on the
+  row address ``monotonically_increasing_id()``, either as a repartition
+  join ("RJ", a sort-merge join that shuffles the whole batch) or as a
+  co-located join ("CJ", Q broadcast and each batch partition filtered
+  in place — Fig. 6(a)). The join hint is the only difference.
 
-Both freeze lineage with eager ``localCheckpoint`` every round,
+Every pass of both runs as Spark SQL inside the JVM executors, so no
+Python worker (and no ``repro`` import on a worker) is needed. Both
+freeze lineage with eager ``localCheckpoint`` every round,
 standing in for the paper's in-place RDD updates + checkpointing
 (Appendix E).
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.distributed.common import (
+    addresses,
     central_positions,
     distributed_counts,
     partition_sizes,
     position_spec,
     select,
-    tag_positions,
 )
 from repro.rng import make_rng
 
@@ -101,6 +104,7 @@ class CoPartitionedReservoir:
         self.op = 0  # monotone op counter: seeds the per-partition streams
         self.df: DataFrame | None = None
         self.schema = None  # the batches' schema, kept across clear()
+        self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
         self.count = 0
         self._sizes: list[int] | None = []
         self.P = target_partitions or spark.sparkContext.defaultParallelism
@@ -234,11 +238,13 @@ class CoPartitionedReservoir:
         self.count = 0
 
     def to_pandas(self) -> pd.DataFrame:
-        if self.df is None:
-            if self.schema is None:
-                return pd.DataFrame()
-            return self.spark.createDataFrame([], self.schema).toPandas()
-        return self.df.toPandas()
+        if self.df is not None:
+            return self.df.toPandas()
+        if self.schema is None:
+            return pd.DataFrame()
+        if self._empty is None:  # one Spark job, then none per realization
+            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
+        return self._empty.copy()
 
 
 class KVReservoir:
@@ -246,11 +252,15 @@ class KVReservoir:
 
     Items are keyed by slot number; the driver tracks the live slot set
     (the paper's master generates and tracks slot numbers too). Inserts
-    are repartitioned by slot hash — the simulated cross-network write —
-    and deletes are slot-keyed anti-joins.
+    are fetched from the batch by a join on the row address (``_retrieve``)
+    and repartitioned by slot hash — the simulated cross-network write —
+    and deletes are slot-keyed anti-joins. Every join carries an explicit
+    strategy hint, so its plan does not depend on the session's
+    ``autoBroadcastJoinThreshold``.
     """
 
     SLOT = "__slot"
+    ROW = "__row"  # a batch row's address, monotonically_increasing_id()
 
     def __init__(
         self,
@@ -268,6 +278,7 @@ class KVReservoir:
         self.df: DataFrame | None = None
         self.live_slots = np.empty(0, dtype=np.int64)
         self.next_slot = 0
+        self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
         self.P = target_partitions or spark.sparkContext.defaultParallelism
 
     @property
@@ -292,63 +303,19 @@ class KVReservoir:
         self, batch_df: DataFrame, positions: Mapping[int, np.ndarray], slots: np.ndarray
     ) -> DataFrame:
         """Fetch the batch items at ``positions`` and key them by the
-        destination ``slots`` (assigned position-order per partition)."""
-        # assign destination slots deterministically: partitions in
-        # ascending order, offsets ascending; slots consumed in order.
-        slots = np.asarray(slots, dtype=np.int64)
-        by_pid: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        cursor = 0
-        for pid in sorted(positions):
-            offs = np.sort(np.asarray(positions[pid], dtype=np.int64))
-            by_pid[pid] = (offs, slots[cursor : cursor + len(offs)])
-            cursor += len(offs)
+        destination ``slots``, assigned in ascending row-address order.
 
-        if self.retrieval == "cj":
-            # co-located join: broadcast the (pid → offsets, slots) map,
-            # filter each batch partition locally (Fig. 6(a)).
-            fields = ", ".join(
-                f"{f.name} {f.dataType.simpleString()}" for f in batch_df.schema
-            )
-            slot_col = self.SLOT  # local binding: keep `self` (and its
-            schema = f"{fields}, {slot_col} long"  # SparkSession) out of the closure
-
-            def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-                pid = TaskContext.get().partitionId()
-                chunks = list(it)
-                if not chunks:
-                    return
-                pdf = pd.concat(chunks, ignore_index=True)
-                offs_slots = by_pid.get(pid)
-                if offs_slots is None or len(offs_slots[0]) == 0:
-                    return
-                offs, sl = offs_slots
-                out = pdf.iloc[offs].copy()
-                out[slot_col] = sl
-                yield out
-
-            return batch_df.mapInPandas(fn, schema=schema)
-
-        # repartition join: tag every batch row with (pid, pos), shuffle
-        # join against the location set Q (both sides shuffled).
-        tagged = tag_positions(batch_df)
-        empty = np.empty(0, dtype=np.int64)
-        q_pdf = pd.DataFrame(
-            {
-                "__pid": np.concatenate(
-                    [np.full(len(offs), pid) for pid, (offs, _) in by_pid.items()]
-                    or [empty]
-                ),
-                "__pos": np.concatenate(
-                    [offs for offs, _ in by_pid.values()] or [empty]
-                ),
-                self.SLOT: np.concatenate(
-                    [sl for _, sl in by_pid.values()] or [empty]
-                ),
-            }
+        The pick set Q is a (row address, slot) table built on the driver
+        and joined with the batch on the address both share. Repartition
+        join shuffles both sides; co-located join broadcasts Q and filters
+        each batch partition in place (Fig. 6(a))."""
+        q = self.spark.createDataFrame(
+            pd.DataFrame({self.ROW: addresses(positions), self.SLOT: slots}),
+            schema=f"{self.ROW} long, {self.SLOT} long",
         )
-        q = self.spark.createDataFrame(q_pdf, schema=f"__pid long, __pos long, {self.SLOT} long")
-        joined = tagged.join(q, on=["__pid", "__pos"], how="inner")
-        return joined.drop("__pid", "__pos")
+        q = F.broadcast(q) if self.retrieval == "cj" else q.hint("shuffle_merge")
+        rows = batch_df.withColumn(self.ROW, F.monotonically_increasing_id())
+        return rows.join(q, self.ROW).drop(self.ROW)
 
     # -- reservoir operations -----------------------------------------
     def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:
@@ -415,4 +382,8 @@ class KVReservoir:
     def to_pandas(self) -> pd.DataFrame:
         if self.df is None:
             return pd.DataFrame()
-        return self.df.drop(self.SLOT).toPandas()
+        if self.count:
+            return self.df.drop(self.SLOT).toPandas()
+        if self._empty is None:  # one Spark job, then none per realization
+            self._empty = self.df.drop(self.SLOT).toPandas()
+        return self._empty.copy()

@@ -10,7 +10,6 @@ from repro.distributed.common import (
     position_spec,
     select,
     slots_to_positions,
-    tag_positions,
 )
 from repro.rng import make_rng
 
@@ -260,17 +259,3 @@ class TestSelectOverUnion:
             else:
                 assert keys_after == keys_before
 
-
-class TestTagPositions:
-    def test_tags_match_glom(self, spark, df40):
-        tagged = tag_positions(df40).toPandas()
-        glom = df40.rdd.glom().collect()
-        expect = {}
-        for pid, rows in enumerate(glom):
-            for pos, row in enumerate(rows):
-                expect[(pid, pos)] = row["k"]
-        got = {
-            (int(p), int(o)): int(k)
-            for p, o, k in tagged[["__pid", "__pos", "k"]].to_numpy()
-        }
-        assert got == expect

@@ -7,6 +7,7 @@ for the same batch-size sequence, (ii) structural invariants of the
 distributed reservoir, and (iii) cross-variant agreement.
 """
 import math
+import re
 
 import numpy as np
 import pandas as pd
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.rtbs import RTBS
 from repro.distributed import DRTBS
-from repro.distributed.reservoir import KVReservoir, partition_sizes
+from repro.distributed.reservoir import KVReservoir, central_positions, partition_sizes
 
 SCHEMA = "t long, i long"
 
@@ -141,6 +142,15 @@ class TestEdgeCases:
             if sizes == {0, 1}:
                 break
         assert sizes == {0, 1}
+        # the empty frame is built once: realizing it again runs no Spark job
+        sc = spark.sparkContext
+        sc.setJobGroup("realize-cleared", "realize a cleared reservoir")
+        try:
+            d.sample_pandas(rng=np.random.default_rng(0))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert list(sc.statusTracker().getJobIdsForGroup("realize-cleared")) == []
 
 
 class TestKVReservoir:
@@ -160,6 +170,34 @@ class TestKVReservoir:
         rows = R.to_pandas()
         assert len(rows) == 6 and (rows["t"] == 7).all()
         assert {"t": 7, "i": row["i"]} in rows.to_dict("records")
+
+    def test_join_plans(self, spark):
+        """The simulated costs hold under Spark's default broadcast
+        threshold: the repartition join shuffles the batch into a
+        sort-merge join, the co-located join broadcasts Q and leaves the
+        batch in place, and neither runs a Python worker."""
+        batch = make_batch(spark, 7, 12).localCheckpoint(eager=True)
+        sizes = partition_sizes(batch)
+        key = "spark.sql.autoBroadcastJoinThreshold"
+        old = spark.conf.get(key)
+        spark.conf.unset(key)
+        try:
+            plans = {}
+            for retrieval in ["rj", "cj"]:
+                R = KVReservoir(spark, retrieval=retrieval, seed=0)
+                positions = central_positions(np.random.default_rng(0), sizes, 5)
+                rows = R._retrieve(batch, positions, np.arange(5))
+                assert len(rows.collect()) == 5
+                plans[retrieval] = rows._jdf.queryExecution().executedPlan().toString()
+        finally:
+            spark.conf.set(key, old)
+        batch_shuffle = r"Exchange hashpartitioning\(__row[^\n]*\n[^\n]*monotonically_increasing_id\(\)"
+        assert "SortMergeJoin" in plans["rj"] and "BroadcastHashJoin" not in plans["rj"]
+        assert re.search(batch_shuffle, plans["rj"]), plans["rj"]
+        assert "BroadcastHashJoin" in plans["cj"] and "SortMergeJoin" not in plans["cj"]
+        assert "Exchange hashpartitioning" not in plans["cj"], plans["cj"]
+        for plan in plans.values():
+            assert "Python" not in plan and "Pandas" not in plan, plan
 
 
 class TestTimeBias:

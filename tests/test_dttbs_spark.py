@@ -1,6 +1,9 @@
 """Tests for D-T-TBS on Spark (embarrassingly parallel T-TBS)."""
+import math
+
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.distributed import DTTBS
 
@@ -57,3 +60,20 @@ class TestDTTBS:
         k0 = len(d.sample_pandas())
         d.advance(make_batch(spark, 1, 0))
         assert len(d.sample_pandas()) <= k0
+
+    def test_partitions_draw_independent_streams(self, spark):
+        """Spark seeds partition i's Bernoulli sampler with seed + i. With
+        seeds counted up from the sampler's seed (2·round for the batch),
+        round r's partition 2 would accept exactly the offsets that round
+        r + 1's partition 0 accepts. At q = 1/2 over 64-row partitions,
+        two independent accept sets coincide with probability 2^-64."""
+        parts, rows = 4, 64
+        d = DTTBS(spark, math.log(2), parts * rows, parts * rows, seed=0)
+        assert d.q == pytest.approx(0.5)
+        accepted = {}
+        for t in range(3):
+            d.advance(spark.range(parts * rows, numPartitions=parts).withColumn("t", F.lit(t)))
+            ids = d.sample_pandas().query("t == @t")["id"]
+            for pid in range(parts):
+                accepted[(t, pid)] = frozenset(ids[ids // rows == pid] % rows)
+        assert len(set(accepted.values())) == len(accepted), accepted

@@ -11,7 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.distributed import DRTBS
-from repro.distributed.common import partition_sizes, tag_positions
+from repro.distributed.common import partition_sizes
 from repro.oracle import assert_equivalent
 
 SCHEMA = "t long, i long"
@@ -62,16 +62,17 @@ class TestStreamBucketing:
 
     def test_partition_sizes(self, batches):
         """Per-partition sizes (Spark SQL's ``spark_partition_id``) against
-        the partition ids a Python worker reads from its task context."""
+        the rows each partition of the frame's RDD yields."""
         for df in batches:
             sizes = partition_sizes(df)
             got = pd.DataFrame(
                 {"pid": np.arange(len(sizes)), "n": sizes}
             ).query("n > 0")
+            pids = df.rdd.mapPartitionsWithIndex(lambda pid, rows: ((pid,) for _ in rows))
             assert_equivalent(
                 got,
-                "SELECT __pid AS pid, count(*) AS n FROM tagged GROUP BY 1",
-                tagged=tag_positions(df),
+                "SELECT pid, count(*) AS n FROM tagged GROUP BY 1",
+                tagged=pd.DataFrame(pids.collect(), columns=["pid"]),
             )
 
 
