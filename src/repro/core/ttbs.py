@@ -19,6 +19,19 @@ import numpy as np
 from repro.rng import binomial, make_rng, sample_without_replacement
 
 
+def rates(lam: float, n: int, b: float) -> tuple[float, float]:
+    """Algorithm 1's retention rate ``p = e^{-λ}`` and batch acceptance
+    rate ``q = n(1 − p)/b``, for λ ≥ 0 and ``b ≥ n(1 − p)`` (so q ≤ 1)."""
+    if lam < 0:
+        raise ValueError("decay rate must be >= 0")
+    p = math.exp(-lam)
+    if b < n * (1.0 - p) - 1e-12:
+        raise ValueError(
+            f"mean batch size b={b} must be >= n(1-e^-lam)={n * (1 - p):.4g}"
+        )
+    return p, (n * (1.0 - p) / b if b > 0 else 0.0)
+
+
 class TTBS:
     """Targeted-size time-biased sampler."""
 
@@ -30,18 +43,10 @@ class TTBS:
         seed: int | np.random.Generator | None = 0,
         initial: Sequence[Any] = (),
     ):
-        if lam < 0:
-            raise ValueError("decay rate must be >= 0")
-        p = math.exp(-lam)
-        if b < n * (1.0 - p) - 1e-12:
-            raise ValueError(
-                f"mean batch size b={b} must be >= n(1-e^-lam)={n * (1 - p):.4g}"
-            )
+        self.p, self.q = rates(lam, n, b)
         self.lam = float(lam)
         self.n = int(n)
         self.b = float(b)
-        self.p = p
-        self.q = n * (1.0 - p) / b if b > 0 else 0.0
         self.rng = make_rng(seed)
         self.items: list[Any] = list(initial)
 

@@ -76,9 +76,3 @@ class UsenetStream:
             X[i] = counts
             y[i] = 1 if int(topics[i]) in self.interest_set(i) else 0
         return X, y
-
-    def batches(self, batch_size: int = 50):
-        """Iterate (X_batch, y_batch) in arrival order."""
-        X, y = self.generate()
-        for start in range(0, N_MESSAGES, batch_size):
-            yield X[start : start + batch_size], y[start : start + batch_size]

@@ -13,6 +13,7 @@ import math
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.ttbs import rates
 from repro.distributed.common import _rand_seed
 
 
@@ -29,18 +30,10 @@ class DTTBS:
         seed: int = 0,
         target_partitions: int | None = None,
     ):
-        if lam < 0:
-            raise ValueError("decay rate must be >= 0")
-        p = math.exp(-lam)
-        if b < n * (1.0 - p) - 1e-12:
-            raise ValueError(
-                f"mean batch size b={b} must be >= n(1-e^-lam)={n * (1 - p):.4g}"
-            )
         self.spark = spark
         self.lam = float(lam)
         self.n = int(n)
-        self.p = p
-        self.q = n * (1.0 - p) / b if b > 0 else 0.0
+        self.p, self.q = rates(lam, n, b)
         self.seed = seed
         self.round = 0
         self.df: DataFrame | None = None

@@ -4,7 +4,8 @@ The paper's evaluation protocol: for each incoming batch, first predict
 it with a model retrained on the *current* sample, record the metric,
 then update the sample with the batch. Samplers store integer indices
 into the pre-generated stream arrays, so any sampler from
-``repro.core`` plugs in unchanged.
+``repro.core`` plugs in unchanged. ``run_study`` is the one loop over
+runs and schemes: every study is a stream function plus one call.
 """
 from __future__ import annotations
 
@@ -106,3 +107,56 @@ def summarize(
     if not vals:
         raise ValueError("no evaluated batches after skip")
     return float(np.mean(vals)), expected_shortfall(vals, es_z)
+
+
+def paper_schemes(rtbs: dict[str, float]) -> list[tuple[str, str, float]]:
+    """``(label, name, λ)`` for R-TBS at each labelled λ, then the SW and
+    Unif baselines (neither uses λ; they get the first one)."""
+    lam0 = next(iter(rtbs.values()))
+    return [(label, "rtbs", lam) for label, lam in rtbs.items()] + [
+        ("SW", "sw", lam0),
+        ("Unif", "unif", lam0),
+    ]
+
+
+def run_study(
+    schemes: Sequence[tuple[str, str, float]],
+    stream: Callable[[int], tuple],
+    scheme_seed: Callable[[int], object],
+    model_factory: Callable[[], object],
+    metric_fn: Callable[[np.ndarray, np.ndarray], float],
+    *,
+    n_runs: int,
+    n: int,
+    b: float,
+    min_fit: int,
+    skip: int,
+    es_z: float,
+) -> dict[str, tuple[float, float]]:
+    """The paper's study protocol: each run builds one stream
+    ``stream(run) -> (X, y, bounds, eval_mask)`` and every ``(label,
+    name, λ)`` scheme, seeded by ``scheme_seed(run)``, is retrained on
+    that same stream. Returns {label: (metric, ES)} averaged over runs."""
+    per_run: dict[str, list[tuple[float, float]]] = {label: [] for label, _, _ in schemes}
+    for run in range(n_runs):
+        X, y, bounds, eval_mask = stream(run)
+        for label, name, lam in schemes:
+            scheme = make_scheme(name, lam=lam, n=n, b=b, seed=scheme_seed(run))
+            per_batch = run_prequential(
+                scheme, model_factory, X, y, bounds, eval_mask, metric_fn, min_fit=min_fit
+            )
+            per_run[label].append(summarize(per_batch, skip=skip, es_z=es_z))
+    return {
+        label: (float(np.mean([m for m, _ in v])), float(np.mean([e for _, e in v])))
+        for label, v in per_run.items()
+    }
+
+
+def format_study(
+    results: dict[str, tuple[float, float]], metric: str, es: str, digits: int
+) -> str:
+    """One row per scheme: label, mean metric and its ES."""
+    lines = [f"{'scheme':<8}{metric:>10}{es:>10}"]
+    for label, (m, e) in results.items():
+        lines.append(f"{label:<8}{m:>10.{digits}f}{e:>10.{digits}f}")
+    return "\n".join(lines)

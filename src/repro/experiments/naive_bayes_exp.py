@@ -7,14 +7,10 @@ dataset is too small), metrics over all 30 batches; robustness uses the
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datagen.usenet import UsenetStream
-from repro.experiments.harness import make_scheme, run_prequential, summarize
+from repro.experiments.harness import format_study, paper_schemes, run_study
 from repro.ml.metrics import misclassification_rate
 from repro.ml.naive_bayes import MultinomialNB
-
-LABELS = {"rtbs": "R-TBS", "sw": "SW", "unif": "Unif"}
 
 
 def run_naive_bayes(
@@ -27,38 +23,18 @@ def run_naive_bayes(
     seed: int = 0,
 ) -> dict[str, tuple[float, float]]:
     """Returns {scheme: (Miss%, 20% ES)} averaged over runs."""
-    out: dict[str, tuple[float, float]] = {}
-    for name in ("rtbs", "sw", "unif"):
-        accs, ess = [], []
-        for run in range(n_runs):
-            stream = UsenetStream(seed=[seed, run])
-            X, y = stream.generate()
-            bounds = [
-                (s, min(s + batch_size, len(y)))
-                for s in range(0, len(y), batch_size)
-            ]
-            eval_mask = [True] * len(bounds)
-            scheme = make_scheme(name, lam=lam, n=n, b=batch_size, seed=[seed, run, 7])
-            per_batch = run_prequential(
-                scheme,
-                MultinomialNB,
-                X,
-                y,
-                bounds,
-                eval_mask,
-                misclassification_rate,
-                min_fit=4,
-            )
-            acc, es = summarize(per_batch, skip=0, es_z=es_z)
-            accs.append(acc)
-            ess.append(es)
-        out[LABELS[name]] = (float(np.mean(accs)), float(np.mean(ess)))
-    return out
+
+    def stream(run):
+        X, y = UsenetStream(seed=[seed, run]).generate()
+        bounds = [(s, min(s + batch_size, len(y))) for s in range(0, len(y), batch_size)]
+        return X, y, bounds, [True] * len(bounds)
+
+    return run_study(
+        paper_schemes({"R-TBS": lam}), stream, lambda run: [seed, run, 7],
+        MultinomialNB, misclassification_rate,
+        n_runs=n_runs, n=n, b=batch_size, min_fit=4, skip=0, es_z=es_z,
+    )
 
 
 def format_naive_bayes(results: dict[str, tuple[float, float]]) -> str:
-    lines = [f"{'scheme':<8}{'Miss%':>10}{'20% ES':>10}"]
-    for label in ("R-TBS", "SW", "Unif"):
-        m, e = results[label]
-        lines.append(f"{label:<8}{m:>10.1f}{e:>10.1f}")
-    return "\n".join(lines)
+    return format_study(results, "Miss%", "20% ES", 1)

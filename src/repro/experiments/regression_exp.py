@@ -8,24 +8,13 @@ Periodic(16,16). Metrics: MSE across evaluated batches and its 10% ES.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
 
 from repro.datagen.batches import constant
 from repro.datagen.modes import Periodic
 from repro.datagen.regression import RegressionStream
-from repro.experiments.harness import (
-    build_stream,
-    make_scheme,
-    run_prequential,
-    summarize,
-)
+from repro.experiments.harness import build_stream, format_study, paper_schemes, run_study
 from repro.ml.linreg import LinearRegression
 from repro.ml.metrics import mean_squared_error
-
-SCHEMES = ("rtbs", "sw", "unif")
-LABELS = {"rtbs": "R-TBS", "sw": "SW", "unif": "Unif"}
 
 
 def run_regression(
@@ -42,35 +31,18 @@ def run_regression(
     seed: int = 0,
 ) -> dict[str, tuple[float, float]]:
     """Returns {scheme_label: (MSE, ES)} averaged over runs."""
-    out: dict[str, tuple[float, float]] = {}
-    for name in SCHEMES:
-        mses, ess = [], []
-        for run in range(n_runs):
-            gen = RegressionStream(seed=[seed, run, n])
-            X, y, bounds, eval_mask = build_stream(
-                gen,
-                pattern,
-                warmup=warmup,
-                n_batches=n_batches,
-                batch_size_fn=constant(b),
-                warmup_size=b,
-            )
-            scheme = make_scheme(name, lam=lam, n=n, b=b, seed=[seed, run, 29])
-            per_batch = run_prequential(
-                scheme,
-                LinearRegression,
-                X,
-                y,
-                bounds,
-                eval_mask,
-                mean_squared_error,
-                min_fit=2,
-            )
-            m, e = summarize(per_batch, skip=skip, es_z=es_z)
-            mses.append(m)
-            ess.append(e)
-        out[LABELS[name]] = (float(np.mean(mses)), float(np.mean(ess)))
-    return out
+
+    def stream(run):
+        return build_stream(
+            RegressionStream(seed=[seed, run, n]), pattern, warmup=warmup,
+            n_batches=n_batches, batch_size_fn=constant(b), warmup_size=b,
+        )
+
+    return run_study(
+        paper_schemes({"R-TBS": lam}), stream, lambda run: [seed, run, 29],
+        LinearRegression, mean_squared_error,
+        n_runs=n_runs, n=n, b=b, min_fit=2, skip=skip, es_z=es_z,
+    )
 
 
 def stable_rtbs_sample_size(*, lam: float = 0.07, b: int = 100) -> float:
@@ -80,8 +52,4 @@ def stable_rtbs_sample_size(*, lam: float = 0.07, b: int = 100) -> float:
 
 
 def format_regression(results: dict[str, tuple[float, float]], title: str) -> str:
-    lines = [title, f"{'scheme':<8}{'MSE':>10}{'10% ES':>10}"]
-    for label in ("R-TBS", "SW", "Unif"):
-        m, e = results[label]
-        lines.append(f"{label:<8}{m:>10.2f}{e:>10.2f}")
-    return "\n".join(lines)
+    return title + "\n" + format_study(results, "MSE", "10% ES", 2)

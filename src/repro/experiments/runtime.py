@@ -15,7 +15,6 @@ Implementation labels follow the paper:
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -23,19 +22,12 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.distributed import DRTBS, DTTBS
 
-IMPLS: dict[str, Callable[..., object]] = {
-    "Cent-KV-RJ": lambda spark, lam, n, seed, P: DRTBS(
-        spark, lam, n, storage="kv", retrieval="rj", seed=seed, target_partitions=P
-    ),
-    "Cent-KV-CJ": lambda spark, lam, n, seed, P: DRTBS(
-        spark, lam, n, storage="kv", retrieval="cj", seed=seed, target_partitions=P
-    ),
-    "Cent-CP": lambda spark, lam, n, seed, P: DRTBS(
-        spark, lam, n, storage="cp", strategy="cent", seed=seed, target_partitions=P
-    ),
-    "Dist-CP": lambda spark, lam, n, seed, P: DRTBS(
-        spark, lam, n, storage="cp", strategy="dist", seed=seed, target_partitions=P
-    ),
+# DRTBS keyword arguments per Fig. 7 label; D-T-TBS is its own class.
+IMPLS: dict[str, dict[str, str]] = {
+    "Cent-KV-RJ": {"storage": "kv", "retrieval": "rj"},
+    "Cent-KV-CJ": {"storage": "kv", "retrieval": "cj"},
+    "Cent-CP": {"storage": "cp", "strategy": "cent"},
+    "Dist-CP": {"storage": "cp", "strategy": "dist"},
 }
 
 
@@ -78,7 +70,7 @@ def run_impl(
     if impl == "D-T-TBS":
         sampler = DTTBS(spark, lam, n, batch_size, seed=seed, target_partitions=P)
     else:
-        sampler = IMPLS[impl](spark, lam, n, seed, P)
+        sampler = DRTBS(spark, lam, n, seed=seed, target_partitions=P, **IMPLS[impl])
     t = 0
     fill = -(-n // batch_size)  # ceil: saturate the reservoir
     for _ in range(fill + warm_rounds):

@@ -11,22 +11,35 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-import numpy as np
-
 from repro.datagen.batches import constant
 from repro.datagen.gaussian_mixture import GaussianMixtureStream
 from repro.datagen.modes import Periodic, SingleEvent
-from repro.experiments.harness import (
-    build_stream,
-    make_scheme,
-    run_prequential,
-    summarize,
-)
+from repro.experiments.harness import build_stream, paper_schemes, run_study
 from repro.ml.knn import KNNClassifier
 from repro.ml.metrics import misclassification_rate
 
 DEFAULT_PATTERNS = (SingleEvent(), Periodic(10, 10), Periodic(16, 16))
 DEFAULT_LAMBDAS = (0.05, 0.07, 0.10)
+
+
+def knn_stream(seed, run, pattern, size_fn, *, warmup: int, n_batches: int, b: int):
+    """One run's Gaussian-mixture stream: ``warmup`` normal batches of
+    ``b``, then ``n_batches`` evaluated batches of ``size_fn(t)``."""
+    gen = GaussianMixtureStream(seed=[seed, run, zlib.crc32(pattern.name.encode()) % 2**16])
+    return build_stream(
+        gen, pattern, warmup=warmup, n_batches=n_batches, batch_size_fn=size_fn, warmup_size=b
+    )
+
+
+def run_knn(stream, scheme_seed, *, lambdas: Sequence[float], k: int, **study):
+    """Table 1's schemes (R-TBS at each λ, SW, Unif) retrained by kNN on
+    ``stream``; ``study`` is ``run_study``'s n_runs, n, b, skip and es_z.
+    Returns {scheme_label: (Miss%, ES)}."""
+    schemes = paper_schemes({f"R-TBS λ={lam:g}": lam for lam in lambdas})
+    return run_study(
+        schemes, stream, scheme_seed, lambda: KNNClassifier(k=k), misclassification_rate,
+        min_fit=k, **study,
+    )
 
 
 def run_table1(
@@ -42,46 +55,20 @@ def run_table1(
     skip: int = 20,
     es_z: float = 0.10,
     seed: int = 0,
-    batch_size_fn=None,
 ) -> dict[tuple[str, str], tuple[float, float]]:
     """Returns {(scheme_label, pattern_name): (Miss%, ES)} averaged over
     runs. Scheme labels: "R-TBS λ=x", "SW", "Unif"."""
-    schemes = [(f"R-TBS λ={lam:g}", "rtbs", lam) for lam in lambdas]
-    schemes += [("SW", "sw", lambdas[0]), ("Unif", "unif", lambdas[0])]
     out: dict[tuple[str, str], tuple[float, float]] = {}
     for pattern in patterns:
         horizon = n_batches if not isinstance(pattern, SingleEvent) else max(40, skip * 2)
-        for label, name, lam in schemes:
-            accs, ess = [], []
-            for run in range(n_runs):
-                gen = GaussianMixtureStream(
-                    seed=[seed, run, zlib.crc32(pattern.name.encode()) % 2**16]
-                )
-                X, y, bounds, eval_mask = build_stream(
-                    gen,
-                    pattern,
-                    warmup=warmup,
-                    n_batches=horizon,
-                    batch_size_fn=batch_size_fn or constant(b),
-                    warmup_size=b,
-                )
-                scheme = make_scheme(
-                    name, lam=lam, n=n, b=b, seed=[seed, run, 17]
-                )
-                per_batch = run_prequential(
-                    scheme,
-                    lambda: KNNClassifier(k=k),
-                    X,
-                    y,
-                    bounds,
-                    eval_mask,
-                    misclassification_rate,
-                    min_fit=k,
-                )
-                acc, es = summarize(per_batch, skip=skip, es_z=es_z)
-                accs.append(acc)
-                ess.append(es)
-            out[(label, pattern.name)] = (float(np.mean(accs)), float(np.mean(ess)))
+        res = run_knn(
+            lambda run: knn_stream(
+                seed, run, pattern, constant(b), warmup=warmup, n_batches=horizon, b=b
+            ),
+            lambda run: [seed, run, 17],
+            lambdas=lambdas, k=k, n_runs=n_runs, n=n, b=b, skip=skip, es_z=es_z,
+        )
+        out.update(((label, pattern.name), val) for label, val in res.items())
     return out
 
 

@@ -9,11 +9,9 @@ and 1.47×/1.40× for Unif; ES 1.82×/1.98× (SW) and 1.76×/1.78× (Unif).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datagen import batches
 from repro.datagen.modes import Periodic
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import knn_stream, run_knn
 
 
 def run_varying_batch(
@@ -25,35 +23,26 @@ def run_varying_batch(
     n_batches: int = 60,
     seed: int = 0,
 ) -> dict[str, dict[str, tuple[float, float]]]:
-    """Returns {"uniform"|"growing": {scheme: (Miss%, ES)}}."""
+    """Returns {"uniform"|"growing": {scheme: (Miss%, ES)}}. Each run
+    draws one stream, with its own batch sizes, for all three schemes;
+    otherwise Table 1's protocol (k=7, 100 warm-up batches, t > 20)."""
     out = {}
-    for regime, fn_factory in (
+    for regime, size_fn in (
         ("uniform", lambda run: batches.uniform(0, 200, seed=[seed, run, 3])),
         ("growing", lambda run: batches.multiplicative(b, 1.02, t0=1)),
     ):
-        # run_table1 handles one batch_size_fn for all runs; for the
-        # uniform regime each run needs its own RNG, so sweep runs here.
-        per_scheme: dict[str, list[tuple[float, float]]] = {}
-        for run in range(n_runs):
-            res = run_table1(
-                n_runs=1,
-                lambdas=(lam,),
-                patterns=(Periodic(10, 10),),
-                n=n,
-                b=b,
-                n_batches=n_batches,
-                seed=[seed, run, regime == "uniform"],
-                batch_size_fn=fn_factory(run),
-            )
-            for (label, _pattern), val in res.items():
-                per_scheme.setdefault(label, []).append(val)
-        out[regime] = {
-            label: (
-                float(np.mean([v[0] for v in vals])),
-                float(np.mean([v[1] for v in vals])),
-            )
-            for label, vals in per_scheme.items()
-        }
+        # Each run is seeded as Table 1's run 0 under the seed below.
+        def run_seed(run):
+            return [seed, run, regime == "uniform"]
+
+        out[regime] = run_knn(
+            lambda run: knn_stream(
+                run_seed(run), 0, Periodic(10, 10), size_fn(run), warmup=100,
+                n_batches=n_batches, b=b,
+            ),
+            lambda run: [run_seed(run), 0, 17],
+            lambdas=(lam,), k=7, n_runs=n_runs, n=n, b=b, skip=20, es_z=0.10,
+        )
     return out
 
 

@@ -82,7 +82,7 @@ class TestSteadyState:
         lam, n, b, T, trials = 0.2, 30, 10, 12, 2500
         cnt = Counter()
         for tr in range(trials):
-            s = BChao(lam, n, b, seed=tr) if False else BChao(lam, n, seed=tr)
+            s = BChao(lam, n, seed=tr)
             for t in range(1, T + 1):
                 s.advance(batch(t, b))
             for (t, _) in s.sample():

@@ -109,11 +109,6 @@ class TestUsenet:
         assert 0.2 < np.mean(y[seg0]) < 0.5
         assert 0.2 < np.mean(y[seg1]) < 0.5
 
-    def test_batches_cover_stream(self):
-        chunks = list(UsenetStream(seed=7).batches(50))
-        assert len(chunks) == 30
-        assert sum(len(yb) for _, yb in chunks) == N_MESSAGES
-
     def test_learnable_within_context(self):
         """NB trained on one context's first half predicts its second
         half well — the generator carries signal."""

@@ -61,6 +61,29 @@ class TestDTTBS:
         d.advance(make_batch(spark, 1, 0))
         assert len(d.sample_pandas()) <= k0
 
+    def test_inclusion_law(self, spark):
+        """Alg. 1's law: a row of batch j is in S_t with probability
+        q·e^{-λ(t - t_j)}, independently of the others, so each batch's
+        retained count is Binomial(B_j, q·e^{-λ(t - t_j)}). Checked after
+        every round (4σ), across an empty batch, a dt = 2.5 round and a
+        coalesce round; rounds after the first go through the
+        retained-sample pass."""
+        parts, rows, lam, n = 4, 3000, 0.3, 4000
+        d = DTTBS(spark, lam, n, rows, seed=11, target_partitions=parts)
+        assert 0.3 < d.q < 0.4
+        sizes, dts = [rows, rows, 0, rows, rows, rows], [1, 1, 1, 2.5, 1, 1]
+        arrived, now = {}, 0.0
+        for j, (size, dt) in enumerate(zip(sizes, dts)):
+            now += dt
+            d.advance(spark.range(size, numPartitions=parts).withColumn("t", F.lit(j)), dt=dt)
+            arrived[j] = (size, now)
+            counts = d.sample_pandas()["t"].value_counts()
+            for k, (size_k, t_k) in arrived.items():
+                prob = d.q * math.exp(-lam * (now - t_k))
+                mean, sd = size_k * prob, math.sqrt(size_k * prob * (1 - prob))
+                got = int(counts.get(k, 0))
+                assert abs(got - mean) <= 4 * sd, (j, k, got, mean, sd)
+
     def test_partitions_draw_independent_streams(self, spark):
         """Spark seeds partition i's Bernoulli sampler with seed + i. With
         seeds counted up from the sampler's seed (2·round for the batch),

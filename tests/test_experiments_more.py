@@ -11,7 +11,8 @@ import pytest
 
 from repro.experiments.naive_bayes_exp import format_naive_bayes, run_naive_bayes
 from repro.experiments.runtime import format_runtime
-from repro.experiments.varying_batch import ratios_vs_rtbs
+from repro.experiments import harness
+from repro.experiments.varying_batch import ratios_vs_rtbs, run_varying_batch
 
 
 class TestNaiveBayesExperiment:
@@ -72,6 +73,31 @@ class TestVaryingBatchHelpers:
         r = ratios_vs_rtbs(res)
         assert r["SW"] == (1.2, 2.0)
         assert r["Unif"] == (1.5, 1.5)
+
+
+class TestVaryingBatchSharedStream:
+    def test_schemes_of_a_run_see_one_stream(self, monkeypatch):
+        """Sec. 6.2 compares the schemes on one stream: in each run,
+        R-TBS, SW and Unif must get the same batches, including in the
+        Uniform(0,200) regime, whose batch sizes are random."""
+        calls = []
+        real = harness.run_prequential
+
+        def spy(scheme, model_factory, X, y, bounds, *args, **kwargs):
+            calls.append((list(bounds), X.copy()))
+            return real(scheme, model_factory, X, y, bounds, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_prequential", spy)
+        n_runs = 2
+        run_varying_batch(n_runs=n_runs, n=100, b=10, n_batches=25, seed=5)
+        assert len(calls) == 2 * n_runs * 3  # regimes × runs × schemes
+        uniform_sizes = {e - s for s, e in calls[0][0][100:]}
+        assert len(uniform_sizes) > 1
+        for i in range(0, len(calls), 3):
+            (bounds, X), *others = calls[i : i + 3]
+            for other_bounds, other_X in others:
+                assert other_bounds == bounds
+                assert np.array_equal(other_X, X)
 
 
 class TestRuntimeHelpers:
