@@ -10,7 +10,7 @@ baseline in the paper's Sec. 6 experiments.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -24,16 +24,13 @@ class BRS:
         self,
         n: int,
         seed: int | np.random.Generator | None = 0,
-        initial: Sequence[Any] = (),
     ):
         if n < 1:
             raise ValueError("max sample size must be >= 1")
-        if len(initial) > n:
-            raise ValueError("|S_0| must be <= n")
         self.n = int(n)
         self.rng = make_rng(seed)
-        self.items: list[Any] = list(initial)
-        self.seen = len(self.items)  # W: number of items seen so far
+        self.items: list[Any] = []
+        self.seen = 0  # W: number of items seen so far
 
     def advance(self, batch: Iterable[Any], dt: float = 1.0) -> None:
         batch = list(batch)

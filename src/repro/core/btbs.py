@@ -10,7 +10,7 @@ offers no control over sample size: the equilibrium mean is
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -24,13 +24,12 @@ class BTBS:
         self,
         lam: float,
         seed: int | np.random.Generator | None = 0,
-        initial: Sequence[Any] = (),
     ):
         if lam < 0:
             raise ValueError("decay rate must be >= 0")
         self.lam = float(lam)
         self.rng = make_rng(seed)
-        self.items: list[Any] = list(initial)
+        self.items: list[Any] = []
 
     def advance(self, batch: Iterable[Any], dt: float = 1.0) -> None:
         p_eff = math.exp(-self.lam * dt)

@@ -19,7 +19,7 @@ violations that Appendix D describes.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -42,20 +42,17 @@ class BChao:
         lam: float,
         n: int,
         seed: int | np.random.Generator | None = 0,
-        initial: Sequence[Any] = (),
     ):
         if lam < 0:
             raise ValueError("decay rate must be >= 0")
         if n < 1:
             raise ValueError("reservoir size must be >= 1")
-        if len(initial) > n:
-            raise ValueError("|S_0| must be <= n")
         self.lam = float(lam)
         self.n = int(n)
         self.rng = make_rng(seed)
-        self.S: list[Any] = list(initial)
+        self.S: list[Any] = []
         self.V: list[list[Any]] = []  # [item, weight] pairs, overweight
-        self.W = float(len(self.S))
+        self.W = 0.0
 
     # ------------------------------------------------------------------
     def _normalize(self, x: Any) -> float:

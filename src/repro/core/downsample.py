@@ -29,36 +29,23 @@ the serial sampler and D-R-TBS alike.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.latent import LatentSample
-
-_EPS = 1e-9
-
-
-def _ifloor(x: float) -> int:
-    """Floor with a tolerance so 3.9999999998 floors to 4."""
-    return math.floor(x + _EPS)
-
-
-def _ffrac(x: float) -> float:
-    return max(0.0, x - _ifloor(x))
+from repro.core.latent import EPS, LatentSample, ffrac, ifloor
 
 
 def downsample(L: LatentSample, target: float, rng: np.random.Generator) -> None:
     """Downsample ``L`` in place to sample weight ``target`` (= C')."""
     C = L.weight
     Cp = target
-    if not (0.0 < Cp < C + _EPS):
+    if not (0.0 < Cp < C + EPS):
         raise ValueError(f"downsample target must satisfy 0 < C'={Cp} < C={C}")
-    if Cp >= C - _EPS:  # C' == C up to float noise: nothing to do
+    if Cp >= C - EPS:  # C' == C up to float noise: nothing to do
         L.weight = Cp
         return
 
-    fC, fCp = _ffrac(C), _ffrac(Cp)
-    kC, kCp = _ifloor(C), _ifloor(Cp)
+    fC, fCp = ffrac(C), ffrac(Cp)
+    kC, kCp = ifloor(C), ifloor(Cp)
     U = rng.random()
     A = L.full
 
@@ -88,7 +75,7 @@ def downsample(L: LatentSample, target: float, rng: np.random.Generator) -> None
             L.partial = A.extract_one()  # Move1: old partial ejected
 
     L.weight = Cp
-    if _ffrac(Cp) <= _EPS:
+    if ffrac(Cp) <= EPS:
         L.partial = None
         L.weight = float(kCp)
     L.check_invariants()

@@ -34,9 +34,24 @@ import numpy as np
 from repro.rng import sample_without_replacement
 
 
+# Float tolerance of the weight tests: a C within EPS of an integer is
+# integral (no partial item), and weights below EPS are zero.
+EPS = 1e-9
+
+
 def frac(x: float) -> float:
     """Fractional part ``x − ⌊x⌋``."""
     return x - math.floor(x)
+
+
+def ifloor(x: float) -> int:
+    """Floor with tolerance ``EPS``, so 3.9999999998 floors to 4."""
+    return math.floor(x + EPS)
+
+
+def ffrac(x: float) -> float:
+    """Fractional part above ``ifloor(x)``, never negative."""
+    return max(0.0, x - ifloor(x))
 
 
 class ListReservoir:
@@ -101,13 +116,11 @@ class LatentSample:
     def check_invariants(self) -> None:
         """Raise if (A, π, C) violates Sec. 4.1's structural invariants:
         |A| == ⌊C⌋ and π nonempty iff C is non-integral."""
-        if self.weight < -1e-9:
+        if self.weight < -EPS:
             raise AssertionError(f"negative sample weight {self.weight}")
-        if self.full.count != math.floor(self.weight + 1e-9):
-            raise AssertionError(
-                f"|A|={self.full.count} != floor(C)={math.floor(self.weight + 1e-9)}"
-            )
-        has_frac = frac(self.weight + 1e-9) > 2e-9
+        if self.full.count != ifloor(self.weight):
+            raise AssertionError(f"|A|={self.full.count} != floor(C)={ifloor(self.weight)}")
+        has_frac = frac(self.weight + EPS) > 2 * EPS
         if has_frac and self.partial is None:
             raise AssertionError(f"C={self.weight} fractional but no partial item")
         if not has_frac and self.partial is not None:
@@ -131,8 +144,8 @@ class LatentSample:
     def draw_partial(self, rng: np.random.Generator) -> bool:
         """Whether a realized sample includes the partial item: with
         probability ``frac(C)``. Draws only when there is a partial item."""
-        f = frac(self.weight + 1e-9)
-        return self.partial is not None and f > 2e-9 and rng.random() < f
+        f = frac(self.weight + EPS)
+        return self.partial is not None and f > 2 * EPS and rng.random() < f
 
     def realize(self, rng: np.random.Generator) -> list[Any]:
         """Draw a realized sample ``S`` from ``L``: full items surely,

@@ -27,10 +27,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.core.downsample import downsample
-from repro.core.latent import LatentSample, ListReservoir
+from repro.core.latent import EPS, LatentSample, ListReservoir
 from repro.rng import make_rng, stochastic_round
-
-_EPS = 1e-9
 
 
 class RTBS:
@@ -42,21 +40,16 @@ class RTBS:
         lam: float,
         n: int,
         seed: int | np.random.Generator | None = 0,
-        initial: Sequence[Any] = (),
     ):
         if lam < 0:
             raise ValueError("decay rate must be >= 0")
         if n < 1:
             raise ValueError("max sample size must be >= 1")
-        if len(initial) > n:
-            raise ValueError("|A_0| must be <= n")
         self.lam = float(lam)
         self.n = int(n)
         self.rng = make_rng(seed)
-        self.latent = LatentSample(
-            ListReservoir(initial, self.rng), weight=float(len(initial))
-        )
-        self.total_weight = float(len(initial))  # W
+        self.latent = LatentSample(ListReservoir((), self.rng))
+        self.total_weight = 0.0  # W
 
     # ------------------------------------------------------------------
     @property
@@ -77,12 +70,12 @@ class RTBS:
         L, n = self.latent, self.n
         A = L.full
 
-        if self.total_weight < n - _EPS:
+        if self.total_weight < n - EPS:
             # ---- previously unsaturated: C == W ----------------------
             W = self.total_weight * decay
-            if W > _EPS and W < L.weight - _EPS:
+            if W > EPS and W < L.weight - EPS:
                 downsample(L, W, self.rng)
-            elif W <= _EPS:
+            elif W <= EPS:
                 A.clear()
                 L.partial, L.weight = None, 0.0
             W += b
@@ -90,14 +83,14 @@ class RTBS:
                 A.insert_all(batch, sizes)  # accept all new items (eq. (5): prob 1)
             L.weight += b
             self.total_weight = W
-            if W > n + _EPS:  # overshoot: now saturated
+            if W > n + EPS:  # overshoot: now saturated
                 downsample(L, float(n), self.rng)
         else:
             # ---- previously saturated: C == n, π == ∅ ----------------
             decayed = self.total_weight * decay
             W = decayed + b
             self.total_weight = W
-            if W >= n - _EPS:
+            if W >= n - EPS:
                 # still saturated: accept E[m] = B_t·n/W items via
                 # stochastic rounding; they replace random victims.
                 m = stochastic_round(self.rng, b * n / W) if b else 0
@@ -107,7 +100,7 @@ class RTBS:
                 # accept the whole batch as full items. After a long gap
                 # the decayed weight can vanish next to b (W - b would
                 # round to 0), so it is tested on its own, as above.
-                if decayed > _EPS:
+                if decayed > EPS:
                     downsample(L, decayed, self.rng)
                 else:
                     A.clear()

@@ -8,7 +8,7 @@ robustness the experiments demonstrate.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -16,11 +16,11 @@ import numpy as np
 class SlidingWindow:
     """Keep the ``n`` most recently arrived items."""
 
-    def __init__(self, n: int, initial: Sequence[Any] = ()):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("window size must be >= 1")
         self.n = int(n)
-        self.items: deque[Any] = deque(initial, maxlen=self.n)
+        self.items: deque[Any] = deque(maxlen=self.n)
 
     def advance(self, batch: Iterable[Any], dt: float = 1.0) -> None:
         self.items.extend(batch)

@@ -12,7 +12,7 @@ size drifts up (Fig. 1).
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -41,14 +41,13 @@ class TTBS:
         n: int,
         b: float,
         seed: int | np.random.Generator | None = 0,
-        initial: Sequence[Any] = (),
     ):
         self.p, self.q = rates(lam, n, b)
         self.lam = float(lam)
         self.n = int(n)
         self.b = float(b)
         self.rng = make_rng(seed)
-        self.items: list[Any] = list(initial)
+        self.items: list[Any] = []
 
     def advance(self, batch: Iterable[Any], dt: float = 1.0) -> None:
         """One round: thin the sample at rate ``p^dt``, admit a

@@ -12,27 +12,21 @@ import numpy as np
 
 from repro.rng import make_rng
 
+N_CLASSES = 100
+BOX = 80.0  # centroids are uniform in [0, BOX]²
+SIGMA = 1.0  # per-axis standard deviation around a centroid
+FREQ_RATIO = 5.0  # relative frequency of the frequent half of the classes
+
 
 class GaussianMixtureStream:
-    """Mode-switching 2-D Gaussian mixture over ``n_classes`` classes."""
+    """Mode-switching 2-D Gaussian mixture over ``N_CLASSES`` classes."""
 
-    def __init__(
-        self,
-        n_classes: int = 100,
-        box: float = 80.0,
-        sigma: float = 1.0,
-        freq_ratio: float = 5.0,
-        seed: int | np.random.Generator = 0,
-    ):
-        if n_classes % 2 != 0:
-            raise ValueError("n_classes must be even (two frequency groups)")
+    def __init__(self, seed: int | np.random.Generator = 0):
         self.rng = make_rng(seed)
-        self.n_classes = n_classes
-        self.sigma = sigma
-        self.centroids = self.rng.uniform(0.0, box, size=(n_classes, 2))
-        half = n_classes // 2
+        self.centroids = self.rng.uniform(0.0, BOX, size=(N_CLASSES, 2))
+        half = N_CLASSES // 2
         w_norm = np.concatenate(
-            [np.full(half, freq_ratio), np.full(half, 1.0)]
+            [np.full(half, FREQ_RATIO), np.full(half, 1.0)]
         )
         self._p = {
             "normal": w_norm / w_norm.sum(),
@@ -43,6 +37,6 @@ class GaussianMixtureStream:
         """Generate one batch: returns (X, y) with X of shape (size, 2)."""
         if mode not in self._p:
             raise ValueError(f"unknown mode {mode!r}")
-        y = self.rng.choice(self.n_classes, size=size, p=self._p[mode])
-        X = self.centroids[y] + self.rng.normal(0.0, self.sigma, size=(size, 2))
+        y = self.rng.choice(N_CLASSES, size=size, p=self._p[mode])
+        X = self.centroids[y] + self.rng.normal(0.0, SIGMA, size=(size, 2))
         return X, y

@@ -29,32 +29,28 @@ from repro.rng import make_rng
 N_MESSAGES = 1500
 SEGMENT = 300
 N_TOPICS = 3
+VOCAB_PER_TOPIC = 60  # words in each topic's own vocabulary block
+COMMON_WORDS = 120  # words shared by all topics
+WORDS_PER_MESSAGE = 40
+TOPIC_WORD_SHARE = 0.55  # a topic's word mass on its own block
 
 
 class UsenetStream:
     """Generator for the full 1500-message synthetic Usenet2 stream."""
 
-    def __init__(
-        self,
-        vocab_per_topic: int = 60,
-        common_words: int = 120,
-        words_per_message: int = 40,
-        topic_word_share: float = 0.55,
-        seed: int | np.random.Generator = 0,
-    ):
+    def __init__(self, seed: int | np.random.Generator = 0):
         self.rng = make_rng(seed)
-        self.vocab_size = N_TOPICS * vocab_per_topic + common_words
-        self.words_per_message = words_per_message
-        # topic-conditional word distributions: mass `topic_word_share`
+        self.vocab_size = N_TOPICS * VOCAB_PER_TOPIC + COMMON_WORDS
+        # topic-conditional word distributions: mass `TOPIC_WORD_SHARE`
         # on the topic's own block, the rest spread over common words.
         self._dists = np.zeros((N_TOPICS, self.vocab_size))
         for k in range(N_TOPICS):
-            block = slice(k * vocab_per_topic, (k + 1) * vocab_per_topic)
-            w_block = self.rng.dirichlet(np.full(vocab_per_topic, 0.5))
-            w_common = self.rng.dirichlet(np.full(common_words, 0.5))
-            self._dists[k, block] = topic_word_share * w_block
-            self._dists[k, N_TOPICS * vocab_per_topic :] = (
-                1.0 - topic_word_share
+            block = slice(k * VOCAB_PER_TOPIC, (k + 1) * VOCAB_PER_TOPIC)
+            w_block = self.rng.dirichlet(np.full(VOCAB_PER_TOPIC, 0.5))
+            w_common = self.rng.dirichlet(np.full(COMMON_WORDS, 0.5))
+            self._dists[k, block] = TOPIC_WORD_SHARE * w_block
+            self._dists[k, N_TOPICS * VOCAB_PER_TOPIC :] = (
+                1.0 - TOPIC_WORD_SHARE
             ) * w_common
 
     @staticmethod
@@ -71,7 +67,7 @@ class UsenetStream:
         topics = self.rng.integers(0, N_TOPICS, size=N_MESSAGES)
         for i in range(N_MESSAGES):
             counts = self.rng.multinomial(
-                self.words_per_message, self._dists[topics[i]]
+                WORDS_PER_MESSAGE, self._dists[topics[i]]
             )
             X[i] = counts
             y[i] = 1 if int(topics[i]) in self.interest_set(i) else 0

@@ -29,9 +29,8 @@ Two implementations of the paper's reservoir data structure:
 
 Every pass of both runs as Spark SQL inside the JVM executors, so no
 Python worker (and no ``repro`` import on a worker) is needed. Both
-freeze lineage with eager ``localCheckpoint`` every round,
-standing in for the paper's in-place RDD updates + checkpointing
-(Appendix E).
+freeze lineage with ``localCheckpoint`` every round, standing in for
+the paper's in-place RDD updates + checkpointing (Appendix E).
 """
 from __future__ import annotations
 
@@ -58,27 +57,29 @@ class CoPartitionedReservoir:
 
     Performance notes mirroring the paper's design rationale:
 
-    * per-partition sizes are tracked *on the driver* and updated
-      incrementally from the very decisions the driver hands out, so a
+    * the row count of every partition is tracked *on the driver*, in
+      ``sizes``, and updated from the very decisions the driver hands
+      out; ``count`` is their sum, so reading either runs no Spark job. A
       round sends workers only counts (or positions) and every select is
       one Spark SQL pass with zero shuffles. A saturated round
       (``DRTBS.advance`` → ``replace_random``) runs 3 Spark jobs, as
       measured: 2 to size the batch (the ``groupBy``'s map and result
       stages) and 1 for the fused select over ``reservoir ∪ batch`` and
       its checkpoint. Centralized decisions with more than 64 picks add
-      1 to broadcast their offset bitmaps, and a coalesce adds 1, plus 2
-      for the recount;
+      1 to broadcast their offset bitmaps, and a coalesce adds 2;
     * the new reservoir is a lazy union of eagerly-checkpointed pieces;
       partitions are merged with a (shuffle-free) ``coalesce`` only when
-      their number grows past ``4·P``, at which point sizes are
-      recomputed lazily with one counting pass.
+      their number grows past ``4·P``. Which partitions a coalesce merges
+      is Spark's choice, so the merged frame is checkpointed lazily and
+      sized at once by ``partition_sizes``, whose pass also materializes
+      the checkpoint — the 2 jobs of the ``groupBy``'s two stages.
 
     CRITICAL evaluation-order invariant: ``spark_partition_id()`` and
     ``monotonically_increasing_id()`` take the partition index of the
     plan they are evaluated over. ``partition_sizes`` and ``select``
     project them directly over the frame they are given — the reservoir
-    (a union of checkpointed pieces, or a coalesce of one) or
-    ``reservoir ∪ batch`` — so a select's addresses are the partitions
+    (a union of checkpointed pieces, or a checkpointed coalesce of one)
+    or ``reservoir ∪ batch`` — so a select's addresses are the partitions
     and offsets the driver sized. A select is never evaluated underneath
     a later union or coalesce: it is checkpointed eagerly the moment it
     is created, and ``coalesce`` is only applied on top of checkpointed
@@ -103,62 +104,55 @@ class CoPartitionedReservoir:
         self.seed = seed
         self.op = 0  # monotone op counter: seeds the per-partition streams
         self.df: DataFrame | None = None
+        self.sizes: list[int] = []  # row count of every partition of df
         self.schema = None  # the batches' schema, kept across clear()
         self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
-        self.count = 0
-        self._sizes: list[int] | None = []
         self.P = target_partitions or spark.sparkContext.defaultParallelism
+
+    @property
+    def count(self) -> int:
+        return sum(self.sizes)
 
     # -- bookkeeping ---------------------------------------------------
     @staticmethod
     def _ckpt(df: DataFrame) -> DataFrame:
         return df.localCheckpoint(eager=True)
 
-    def sizes(self) -> list[int]:
-        """Per-partition row counts of the current reservoir; served
-        from the driver's incremental bookkeeping when available."""
-        if self._sizes is None:
-            self._sizes = partition_sizes(self.df) if self.df is not None else []
-        return self._sizes
+    def _set_df(self, df: DataFrame | None, sizes: list[int]) -> None:
+        if len(sizes) > 4 * self.P:
+            # merge partitions without a shuffle; the merge is Spark's, so
+            # size it (the pass also fills the lazy checkpoint)
+            n_rows = sum(sizes)
+            df = df.coalesce(self.P).localCheckpoint(eager=False)
+            sizes = partition_sizes(df)
+            if sum(sizes) != n_rows:
+                raise AssertionError(f"coalesce of {n_rows} rows holds {sum(sizes)}")
+        self.df, self.sizes = df, sizes
 
-    def _set_df(self, df: DataFrame | None, sizes: list[int] | None) -> None:
-        self.df = df
-        self._sizes = sizes
-        if (
-            df is not None
-            and sizes is not None
-            and len(sizes) > 4 * self.P
-        ):
-            # merge partitions without a shuffle; sizes become unknown
-            # (coalesce's grouping is an implementation detail).
-            self.df = self._ckpt(df.coalesce(self.P))
-            self._sizes = None
-
-    def _choice(self, sizes: list[int], k: int):
-        """Per-partition positions (cent) or counts (dist) for k picks."""
+    def _choice(self, sizes: list[int], k: int) -> dict:
+        """A decision for k picks: ``{pid: offsets}`` (cent, arrays) or
+        ``{pid: count}`` (dist, ints); the value's type tells which."""
         if self.strategy == "cent":
-            return ("pos", central_positions(self.rng, sizes, k))
-        return ("cnt", distributed_counts(self.rng, sizes, k))
+            return central_positions(self.rng, sizes, k)
+        return distributed_counts(self.rng, sizes, k)
 
     @staticmethod
-    def _picked_per_partition(decision, n_parts: int) -> list[int]:
-        kind, payload = decision
-        if kind == "pos":
-            return [len(payload.get(pid, ())) for pid in range(n_parts)]
-        return [payload.get(pid, 0) for pid in range(n_parts)]
+    def _picked(decision: dict, n_parts: int) -> list[int]:
+        """Rows a decision picks in every partition."""
+        picks = [decision.get(pid, 0) for pid in range(n_parts)]
+        return [p if isinstance(p, int) else len(p) for p in picks]
 
     @staticmethod
-    def _spec(decision, sizes: list[int], mode: str, first_pid: int = 0) -> dict:
+    def _spec(decision: dict, sizes: list[int], mode: str, first_pid: int = 0) -> dict:
         """``select`` spec applying ``mode`` to a decision's picks in every
         partition, addressed from ``first_pid`` on."""
-        kind, payload = decision
-        if kind == "pos":
-            spec = position_spec(payload, sizes, mode)
+        if any(isinstance(p, np.ndarray) for p in decision.values()):
+            spec = position_spec(decision, sizes, mode)
         else:
             spec = {
-                pid: (mode, payload.get(pid, 0))
+                pid: (mode, decision.get(pid, 0))
                 for pid in range(len(sizes))
-                if mode == "keep" or pid in payload
+                if mode == "keep" or pid in decision
             }
         return {first_pid + pid: entry for pid, entry in spec.items()}
 
@@ -175,31 +169,27 @@ class CoPartitionedReservoir:
             self.schema = batch_df.schema
             self._set_df(batch_df, list(sizes))
         else:
-            self._set_df(self.df.unionByName(batch_df), self.sizes() + list(sizes))
-        self.count += sum(sizes)
+            self._set_df(self.df.unionByName(batch_df), self.sizes + list(sizes))
 
     def keep_random(self, k: int) -> None:
         """Downsample the reservoir to ``k`` uniform survivors."""
         if k >= self.count:
             return
-        sizes = self.sizes()
-        decision = self._choice(sizes, k)
-        kept = self._ckpt(self._select(self.df, self._spec(decision, sizes, "keep")))
-        self._set_df(kept, self._picked_per_partition(decision, len(sizes)))
-        self.count = k
+        decision = self._choice(self.sizes, k)
+        kept = self._ckpt(self._select(self.df, self._spec(decision, self.sizes, "keep")))
+        self._set_df(kept, self._picked(decision, len(self.sizes)))
 
     def extract_one(self) -> dict[str, Any] | None:
         """Remove and return one uniformly random item (for the latent
         sample's partial-item moves)."""
         if self.count == 0:
             return None
-        sizes = self.sizes()
-        decision = ("pos", central_positions(self.rng, sizes, 1))
+        sizes = self.sizes
+        decision = central_positions(self.rng, sizes, 1)
         row = self._select(self.df, self._spec(decision, sizes, "keep")).toPandas()
         rest = self._ckpt(self._select(self.df, self._spec(decision, sizes, "drop")))
-        removed = self._picked_per_partition(decision, len(sizes))
+        removed = self._picked(decision, len(sizes))
         self._set_df(rest, [s - r for s, r in zip(sizes, removed)])
-        self.count -= 1
         return dict(row.iloc[0])
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:
@@ -211,8 +201,7 @@ class CoPartitionedReservoir:
             self.spark.createDataFrame(pd.DataFrame(rows), schema=self.df.schema)
             .coalesce(1)  # single known partition: sizes stay exact
         )
-        self._set_df(self.df.unionByName(small), self.sizes() + [len(rows)])
-        self.count += len(rows)
+        self._set_df(self.df.unionByName(small), self.sizes + [len(rows)])
 
     def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         """Saturated-regime hot path: m random victims in the reservoir
@@ -220,7 +209,7 @@ class CoPartitionedReservoir:
         One select pass over ``reservoir ∪ batch``, no shuffle."""
         if m <= 0:
             return
-        res_sizes = self.sizes()
+        res_sizes = self.sizes
         res_decision = self._choice(res_sizes, m)
         ins_decision = self._choice(sizes, m)
         # Batch partitions sit at ids offset by len(res_sizes) in the
@@ -228,14 +217,13 @@ class CoPartitionedReservoir:
         spec = self._spec(res_decision, res_sizes, "drop")
         spec.update(self._spec(ins_decision, sizes, "keep", len(res_sizes)))
         new_df = self._ckpt(self._select(self.df.unionByName(batch_df), spec))
-        removed = self._picked_per_partition(res_decision, len(res_sizes))
+        removed = self._picked(res_decision, len(res_sizes))
         new_sizes = [s - r for s, r in zip(res_sizes, removed)]
-        new_sizes += self._picked_per_partition(ins_decision, len(sizes))
+        new_sizes += self._picked(ins_decision, len(sizes))
         self._set_df(new_df, new_sizes)
 
     def clear(self) -> None:
         self._set_df(None, [])
-        self.count = 0
 
     def to_pandas(self) -> pd.DataFrame:
         if self.df is not None:

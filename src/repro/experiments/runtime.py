@@ -22,6 +22,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.distributed import DRTBS, DTTBS
 
+WARM_ROUNDS = 2  # unmeasured saturated rounds before the measured ones
+
 # DRTBS keyword arguments per Fig. 7 label; D-T-TBS is its own class.
 IMPLS: dict[str, dict[str, str]] = {
     "Cent-KV-RJ": {"storage": "kv", "retrieval": "rj"},
@@ -58,22 +60,21 @@ def run_impl(
     n: int,
     lam: float = 0.07,
     rounds: int = 5,
-    warm_rounds: int = 2,
-    n_parts: int | None = None,
     seed: int = 0,
 ) -> dict[str, float]:
     """Time ``rounds`` measured rounds of one implementation; returns
     mean/min per-round seconds. The reservoir is pre-saturated with
-    ``ceil(n/batch_size)`` unmeasured batches plus ``warm_rounds``
-    warm-up rounds (the paper discards the first round too)."""
-    P = n_parts or spark.sparkContext.defaultParallelism
+    ``ceil(n/batch_size)`` unmeasured batches plus ``WARM_ROUNDS``
+    warm-up rounds (the paper discards the first round too). Batches
+    have one partition per core."""
+    P = spark.sparkContext.defaultParallelism
     if impl == "D-T-TBS":
         sampler = DTTBS(spark, lam, n, batch_size, seed=seed, target_partitions=P)
     else:
         sampler = DRTBS(spark, lam, n, seed=seed, target_partitions=P, **IMPLS[impl])
     t = 0
     fill = -(-n // batch_size)  # ceil: saturate the reservoir
-    for _ in range(fill + warm_rounds):
+    for _ in range(fill + WARM_ROUNDS):
         sampler.advance(make_int_batch(spark, t, batch_size, P, seed))
         t += 1
     times = []

@@ -62,13 +62,16 @@ def run_sample_size_dynamics(seed: int = 0) -> dict[str, dict[str, np.ndarray]]:
     }
 
 
-def summarize_dynamics(traj: dict[str, np.ndarray], tail: int = 100) -> dict[str, float]:
+TAIL = 100  # rounds in the summary's tail window
+
+
+def summarize_dynamics(traj: dict[str, np.ndarray]) -> dict[str, float]:
     """Tail-window summary for the tables in EXPERIMENTS.md."""
     return {
-        "ttbs_mean": float(np.mean(traj["ttbs"][-tail:])),
+        "ttbs_mean": float(np.mean(traj["ttbs"][-TAIL:])),
         "ttbs_max": float(np.max(traj["ttbs"])),
-        "ttbs_std": float(np.std(traj["ttbs"][-tail:])),
-        "rtbs_mean": float(np.mean(traj["rtbs"][-tail:])),
+        "ttbs_std": float(np.std(traj["ttbs"][-TAIL:])),
+        "rtbs_mean": float(np.mean(traj["rtbs"][-TAIL:])),
         "rtbs_max": float(np.max(traj["rtbs"])),
-        "rtbs_std": float(np.std(traj["rtbs"][-tail:])),
+        "rtbs_std": float(np.std(traj["rtbs"][-TAIL:])),
     }

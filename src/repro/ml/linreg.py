@@ -11,32 +11,20 @@ import numpy as np
 
 
 class LinearRegression:
-    """Ordinary least squares, optionally with an intercept column."""
+    """Ordinary least squares without an intercept."""
 
-    def __init__(self, fit_intercept: bool = False):
-        self.fit_intercept = fit_intercept
+    def __init__(self):
         self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def _design(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.fit_intercept:
-            return np.hstack([X, np.ones((len(X), 1))])
-        return X
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
         y = np.asarray(y, dtype=float)
-        A = self._design(X)
+        A = np.asarray(X, dtype=float)
         if len(A) == 0:
             raise ValueError("cannot fit on an empty sample")
-        beta, *_ = np.linalg.lstsq(A, y, rcond=None)
-        if self.fit_intercept:
-            self.coef_, self.intercept_ = beta[:-1], float(beta[-1])
-        else:
-            self.coef_, self.intercept_ = beta, 0.0
+        self.coef_, *_ = np.linalg.lstsq(A, y, rcond=None)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None:
             raise RuntimeError("fit() before predict()")
-        return np.asarray(X, dtype=float) @ self.coef_ + self.intercept_
+        return np.asarray(X, dtype=float) @ self.coef_

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
+ALPHA = 1.0  # Laplace smoothing: one pseudo-count per word and class
+
 
 class MultinomialNB:
     """Binary/multi-class multinomial NB on count vectors."""
 
-    def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("smoothing alpha must be > 0")
-        self.alpha = alpha
+    def __init__(self):
         self.classes_: np.ndarray | None = None
         self._log_prior: np.ndarray | None = None
         self._log_lik: np.ndarray | None = None  # (n_classes, n_words)
@@ -34,7 +33,7 @@ class MultinomialNB:
         for ci, c in enumerate(self.classes_):
             rows = X[y == c]
             prior[ci] = len(rows) / len(X)
-            wc = rows.sum(axis=0) + self.alpha
+            wc = rows.sum(axis=0) + ALPHA
             lik[ci] = np.log(wc / wc.sum())
         self._log_prior = np.log(prior)
         self._log_lik = lik

@@ -17,10 +17,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BRS(0)
 
-    def test_oversized_initial_raises(self):
-        with pytest.raises(ValueError):
-            BRS(2, initial=[1, 2, 3])
-
 
 class TestSize:
     def test_size_is_min_n_seen(self):

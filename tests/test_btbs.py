@@ -17,9 +17,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BTBS(-0.5)
 
-    def test_initial(self):
-        assert sorted(BTBS(0.1, initial=[1, 2]).sample()) == [1, 2]
-
 
 class TestInclusionLaw:
     def test_appearance_probability_eq7(self):

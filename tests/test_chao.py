@@ -19,8 +19,6 @@ class TestConstruction:
             BChao(-0.1, 5)
         with pytest.raises(ValueError):
             BChao(0.1, 0)
-        with pytest.raises(ValueError):
-            BChao(0.1, 1, initial=[1, 2])
 
 
 class TestSizePinned:

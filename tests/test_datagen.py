@@ -44,10 +44,6 @@ class TestGaussianMixture:
         assert X.shape == (100, 2) and y.shape == (100,)
         assert y.min() >= 0 and y.max() < 100
 
-    def test_odd_classes_raises(self):
-        with pytest.raises(ValueError):
-            GaussianMixtureStream(n_classes=99)
-
     def test_bad_mode_raises(self):
         with pytest.raises(ValueError):
             GaussianMixtureStream(seed=0).batch("weird", 10)

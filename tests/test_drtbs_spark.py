@@ -153,6 +153,59 @@ class TestEdgeCases:
         assert list(sc.statusTracker().getJobIdsForGroup("realize-cleared")) == []
 
 
+class TestPartitionSizes:
+    @pytest.mark.parametrize("kw", VARIANTS[:2], ids=IDS[:2])
+    def test_sizes_exact_across_coalesces(self, spark, kw, monkeypatch):
+        """With one target partition the co-partitioned reservoir
+        coalesces whenever it holds more than 4 partitions. After every
+        round of a schedule that runs all four Alg. 2 branches, an empty
+        batch and a 2.5-unit gap, the driver's sizes are the partitions'
+        row counts, their sum is |A| = ⌊C⌋, and reading them runs no
+        Spark job."""
+        from repro.distributed import reservoir
+
+        sizings = []
+        orig = reservoir.partition_sizes
+
+        def counted(df):
+            sizings.append(df)
+            return orig(df)
+
+        # DRTBS.advance sizes each batch through the module attribute;
+        # every further call sizes a coalesced reservoir.
+        monkeypatch.setattr(reservoir, "partition_sizes", counted)
+        lam, n = 0.3, 20
+        sched = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0),
+                 (12, 1.0), (9, 1.0), (14, 1.0), (5, 1.0), (25, 1.0), (7, 1.0)]
+        d = DRTBS(spark, lam, n, seed=8, target_partitions=1, **kw)
+        branches = set()
+        sc = spark.sparkContext
+        for t, (b, dt) in enumerate(sched):
+            saturated = d.total_weight >= n - 1e-9
+            d.advance(make_batch(spark, t, b), dt=dt)
+            W = d.total_weight
+            if saturated:
+                branches.add("saturated" if W >= n - 1e-9 else "undershoot")
+            else:
+                branches.add("overshoot" if W > n + 1e-9 else "unsaturated")
+            res = d.reservoir
+            sc.setJobGroup(f"read-sizes-{t}", "read the driver's partition sizes")
+            try:
+                sizes, count = list(res.sizes), res.count
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            rows = res.df.rdd.glom().map(len).collect() if res.df is not None else []
+            assert sizes == rows, (t, sizes, rows)
+            counted_rows = res.df.count() if res.df is not None else 0
+            assert count == counted_rows == math.floor(d.sample_weight + 1e-9), (t, count)
+            d.latent.check_invariants()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        for t in range(len(sched)):
+            assert list(sc.statusTracker().getJobIdsForGroup(f"read-sizes-{t}")) == [], t
+        assert branches == {"unsaturated", "overshoot", "undershoot", "saturated"}
+        assert len(sizings) > len(sched), "no coalesce"
+
+
 class TestKVReservoir:
     @pytest.mark.parametrize("retrieval", ["cj", "rj"])
     def test_insert_rows_after_keep_random(self, spark, retrieval):

@@ -22,15 +22,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RTBS(0.1, 0)
 
-    def test_oversized_initial_raises(self):
-        with pytest.raises(ValueError):
-            RTBS(0.1, 2, initial=[1, 2, 3])
-
-    def test_initial_sample_kept(self):
-        r = RTBS(0.1, 5, initial=[1, 2, 3])
-        assert sorted(r.sample()) == [1, 2, 3]
-        assert r.total_weight == 3.0
-
 
 class TestSizeBound:
     @pytest.mark.parametrize("lam,n,bs", [(0.07, 50, 10), (0.5, 20, 40), (0.01, 10, 100)])

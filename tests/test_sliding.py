@@ -27,10 +27,6 @@ class TestSlidingWindow:
         w.advance(["new"] * 4)
         assert "old" not in w.sample()
 
-    def test_initial(self):
-        w = SlidingWindow(3, initial=[1, 2, 3, 4])
-        assert w.sample() == [2, 3, 4]
-
     def test_batch_larger_than_window(self):
         w = SlidingWindow(3)
         w.advance(list(range(10)))
