@@ -3,7 +3,7 @@
 Jobs that only need the pure-Python samplers import nothing from here;
 the Spark-backed jobs (runtime/scale-up) call ``get_spark()``. The
 session is configured like the test suite's (conftest.py): local master,
-Arrow transfers and broadcast joins off unless a query hints one. Two
+Arrow transfers on, broadcast joins off unless a query hints one. Two
 settings differ: 16 shuffle partitions (``SPARK_SHUFFLE_PARTITIONS``;
 the tests use 64), and a 16g driver unless ``SPARK_DRIVER_MEM`` says
 otherwise (the tests derive theirs from the container's memory limit).

@@ -22,6 +22,9 @@ Four cases, following the paper's pseudocode and correctness proof:
    them becomes the new partial via Move1 (old partial ejected).
 4. Finally, if ``C'`` is integral the partial slot is cleared.
 
+A target within EPS of C only sets C = C', with no draw: ``RTBS._advance``
+relies on it when ``dt = 0`` or ``λ = 0``.
+
 Swap1 is ``extract_one`` then ``insert_rows`` of the old partial; Move1
 is ``extract_one`` alone. ``A`` is reached only through the reservoir
 operations listed in ``repro.core.latent``, so this one function serves

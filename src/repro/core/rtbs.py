@@ -15,9 +15,12 @@ Batches may arrive at arbitrary real-valued time gaps: ``advance``
 takes ``dt`` and decays by ``e^{-λ·dt}`` (Sec. 2, "our results can be
 applied to arbitrary sequences of real-valued batch arrival times").
 
-Algorithm 2 acts on the full items only through the reservoir operations
-of ``repro.core.latent``. Here they live in a ``ListReservoir``;
-``repro.distributed.DRTBS`` runs the same code over a Spark reservoir.
+Algorithm 2 has two cases: saturated before and after the batch, or
+not, where C = W until an overshoot downsamples it to n; so
+``C_t = min(n, W_t)`` holds bitwise. It acts on the full items only
+through the reservoir operations of ``repro.core.latent``. Here they
+live in a ``ListReservoir``; ``repro.distributed.DRTBS`` runs the same
+code over a Spark reservoir.
 """
 from __future__ import annotations
 
@@ -64,49 +67,38 @@ class RTBS:
 
     def _advance(self, batch: Any, sizes: Sequence[int], dt: float) -> None:
         """Algorithm 2 for a batch of ``sum(sizes)`` items, ``sizes`` being
-        its per-partition counts, as the reservoir's inserts take them."""
+        its per-partition counts, as the reservoir's inserts take them.
+        Case 1 (saturated before and after) swaps accepted items for random
+        victims. Case 2 decays L, takes the whole batch with ``C = W`` and
+        downsamples to n on overshoot."""
         b = sum(sizes)
-        decay = math.exp(-self.lam * dt)
         L, n = self.latent, self.n
         A = L.full
+        decayed = self.total_weight * math.exp(-self.lam * dt)
+        W = decayed + b
+        saturated = self.total_weight >= n - EPS and W >= n - EPS
+        self.total_weight = W
 
-        if self.total_weight < n - EPS:
-            # ---- previously unsaturated: C == W ----------------------
-            W = self.total_weight * decay
-            if W > EPS and W < L.weight - EPS:
-                downsample(L, W, self.rng)
-            elif W <= EPS:
+        if saturated:
+            # |A| == n, π == ∅: accept E[m] = B_t·n/W items via stochastic
+            # rounding; they replace random victims. C is n, or W within
+            # EPS below n.
+            m = stochastic_round(self.rng, b * n / W) if b else 0
+            A.replace_random(min(m, b, n), batch, sizes)
+            L.weight = min(W, float(n))
+        else:
+            # A decayed weight within EPS of C (dt = 0, λ = 0) leaves L as
+            # it is. One that vanished next to b (W − b rounds to 0) empties it.
+            if decayed > EPS:
+                downsample(L, decayed, self.rng)
+            else:
                 A.clear()
-                L.partial, L.weight = None, 0.0
-            W += b
+                L.partial = None
             if b > 0:
                 A.insert_all(batch, sizes)  # accept all new items (eq. (5): prob 1)
-            L.weight += b
-            self.total_weight = W
-            if W > n + EPS:  # overshoot: now saturated
+            L.weight = W
+            if W > n:  # overshoot; within EPS of n this only sets C = n
                 downsample(L, float(n), self.rng)
-        else:
-            # ---- previously saturated: C == n, π == ∅ ----------------
-            decayed = self.total_weight * decay
-            W = decayed + b
-            self.total_weight = W
-            if W >= n - EPS:
-                # still saturated: accept E[m] = B_t·n/W items via
-                # stochastic rounding; they replace random victims.
-                m = stochastic_round(self.rng, b * n / W) if b else 0
-                A.replace_random(min(m, b, n), batch, sizes)
-            else:
-                # undershoot: decay weight below n; downsample then
-                # accept the whole batch as full items. After a long gap
-                # the decayed weight can vanish next to b (W - b would
-                # round to 0), so it is tested on its own, as above.
-                if decayed > EPS:
-                    downsample(L, decayed, self.rng)
-                else:
-                    A.clear()
-                if b > 0:
-                    A.insert_all(batch, sizes)
-                L.weight = W
         L.check_invariants()
 
     def sample(self, rng: np.random.Generator | None = None) -> list[Any]:

@@ -133,12 +133,12 @@ def addresses(positions: Mapping[int, np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
-def _bitmap(offsets: np.ndarray) -> np.ndarray:
-    """Offsets as 64-bit words: offset ``o`` is bit ``o % 64`` of word
-    ``o // 64``."""
+def _bitmap(offsets: np.ndarray) -> list[int]:
+    """Offsets as signed 64-bit words: offset ``o`` is bit ``o % 64`` of
+    word ``o // 64``. Python ints, which Spark takes with Arrow off too."""
     words = np.zeros(offsets.max() // 64 + 1, dtype=np.uint64)
     np.bitwise_or.at(words, offsets // 64, np.uint64(1) << (offsets % 64).astype(np.uint64))
-    return words.view(np.int64)
+    return words.view(np.int64).tolist()
 
 
 def _rand_seed(seed: int, round_no: int) -> int:

@@ -259,3 +259,45 @@ class TestSelectOverUnion:
             else:
                 assert keys_after == keys_before
 
+
+
+class TestNoPythonWorker:
+    """Every per-round pass runs inside the JVM: the plans Spark executes
+    for them hold no ``Python`` or ``Pandas`` node."""
+
+    @staticmethod
+    def assert_jvm_only(plan):
+        assert "Python" not in plan and "Pandas" not in plan, plan
+
+    def test_partition_sizes(self, df40, batch30, monkeypatch):
+        plans = []
+        frame = type(df40)  # the session's DataFrame class
+        collect = frame.collect
+
+        def recorded(df):
+            rows = collect(df)
+            plans.append(df._jdf.queryExecution().executedPlan().toString())
+            return rows
+
+        monkeypatch.setattr(frame, "collect", recorded)
+        partition_sizes(df40.unionByName(batch30))
+        monkeypatch.undo()
+        assert plans
+        for plan in plans:
+            self.assert_jvm_only(plan)
+
+    @pytest.mark.parametrize("picks", ["counts", "offsets", "bitmap"])
+    def test_select(self, df40, batch30, picks):
+        union = df40.unionByName(batch30)
+        sizes = partition_sizes(union)
+        if picks == "counts":
+            payload = distributed_counts(make_rng(10), sizes, 20)
+            spec = spec_for(payload, len(sizes), "keep", 0)
+        else:
+            k = 10 if picks == "offsets" else 66
+            spec = spec_for(central_positions(make_rng(10), sizes, k), len(sizes), "keep")
+        out = select(union, spec, seed=0, round_no=1)
+        out.collect()
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert ("BroadcastHashJoin" in plan) == (picks == "bitmap"), plan
+        self.assert_jvm_only(plan)

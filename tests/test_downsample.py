@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.downsample import downsample
-from repro.core.latent import LatentSample, ListReservoir
+from repro.core.latent import EPS, LatentSample, ListReservoir
 from repro.rng import make_rng
 
 
@@ -70,6 +70,22 @@ class TestStructure:
             downsample(L, 3.0, rng)
             assert L.partial is None
             assert len(L.full) == 3
+
+
+class TestNoOp:
+    @pytest.mark.parametrize("C", [3.0, 4.7, 0.8])
+    @pytest.mark.parametrize("shift", [0.0, EPS / 2])
+    def test_target_within_eps_of_C(self, C, shift):
+        """C' ∈ {C, C − EPS/2} sets C = C' and touches neither the items
+        nor the random stream."""
+        rng = make_rng(5)
+        L = _make_latent(C, rng)
+        items, partial = list(L.full.items), L.partial
+        state = rng.bit_generator.state
+        downsample(L, C - shift, rng)
+        assert L.full.items == items and L.partial == partial
+        assert L.weight == C - shift
+        assert rng.bit_generator.state == state
 
 
 class TestTheorem41:

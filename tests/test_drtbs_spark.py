@@ -206,6 +206,34 @@ class TestPartitionSizes:
         assert len(sizings) > len(sched), "no coalesce"
 
 
+class TestArrowOff:
+    @pytest.mark.parametrize("kw", VARIANTS, ids=IDS)
+    def test_same_sample_without_arrow(self, spark, kw):
+        """Spark leaves Arrow off by default. Every variant runs without
+        it, through an overshoot, a saturated round whose centralized
+        picks exceed 64 (the bitmap path of ``common.select``), an empty
+        batch and an undershoot that puts the partial item back, and
+        realizes the sample of an Arrow-on run with the same seed."""
+        lam, n = 1.0, 100
+        sched = [150, 300, 0, 10, 260]
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        old = spark.conf.get(key)
+        samples = []
+        try:
+            for arrow in ["true", "false"]:
+                spark.conf.set(key, arrow)
+                d = DRTBS(spark, lam, n, seed=13, **kw)
+                for t, b in enumerate(sched):
+                    # batches built without pandas, so their partitions
+                    # do not depend on Arrow
+                    d.advance(spark.range(0, b, 1, 4).selectExpr(f"{t} AS t", "id AS i"))
+                samples.append(d.sample_pandas(rng=np.random.default_rng(3)))
+        finally:
+            spark.conf.set(key, old)
+        assert len(samples[0]) == n
+        pd.testing.assert_frame_equal(samples[0], samples[1])
+
+
 class TestKVReservoir:
     @pytest.mark.parametrize("retrieval", ["cj", "rj"])
     def test_insert_rows_after_keep_random(self, spark, retrieval):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.latent import EPS
 from repro.core.rtbs import RTBS
 from repro.rng import make_rng
 
@@ -136,6 +137,44 @@ class TestDynamics:
             r.advance(batch(t, 3))
         assert abs(r.total_weight - 30) < 1e-9
         assert len(r.sample()) == 5
+
+
+class TestExactSampleWeight:
+    """C_t = min(n, W_t) bitwise, as Alg. 2 defines it (Sec. 4.1)."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 50.0])
+    def test_random_schedules(self, lam):
+        """Empty batches, batches larger than n, dt ∈ {0, 1, 400}: outside
+        the EPS band |W − n| ≤ EPS, C is W below n and n above it."""
+        cfg = np.random.default_rng(2018)
+        for run in range(40):
+            n = int(cfg.integers(1, 20))
+            r = RTBS(lam, n, seed=run)
+            for t in range(25):
+                b = 0 if cfg.random() < 0.3 else int(cfg.integers(1, 3 * n + 1))
+                r.advance(batch(t, b), dt=float(cfg.choice([0.0, 1.0, 400.0])))
+                W, C = r.total_weight, r.sample_weight
+                if abs(W - n) > EPS:
+                    assert C == (W if W < n else n), (lam, run, t, W, C)
+
+    def test_within_eps_band(self):
+        """A round that leaves W within EPS below n keeps C = W, and the
+        saturated round after it sets C = n; one that leaves W within EPS
+        above n sets C = n."""
+        n = 3
+        r = RTBS(1.0, n, seed=0)
+        r.advance(batch(0, 2))
+        r.advance(batch(1, 1), dt=2.5e-10)  # W = 2·e^{-2.5e-10} + 1
+        assert n - EPS <= r.total_weight < n
+        assert r.sample_weight == r.total_weight
+        r.advance(batch(2, 5), dt=0.0)
+        assert r.total_weight > n + EPS and r.sample_weight == n
+        n = 5
+        r = RTBS(1.0, n, seed=0)
+        r.advance(batch(0, 3))
+        r.advance(batch(1, 3), dt=math.log(3 / (2 + 5e-10)))  # W = 5 + 5e-10
+        assert n < r.total_weight <= n + EPS
+        assert r.sample_weight == n
 
 
 class TestInclusionProbabilities:
