@@ -9,7 +9,9 @@ and the execution pass (workers).
 The per-round passes are plain Spark SQL expressions, evaluated inside
 the JVM executors with no Python worker:
 
-* ``partition_sizes`` groups by ``spark_partition_id()``;
+* ``partition_sizes`` counts the rows of every ``spark_partition_id()``
+  in ``DataFrame.observe`` metrics over a ``noop`` write: one job of one
+  stage, which also materializes a lazy checkpoint under the frame;
 * ``select`` addresses a row by ``monotonically_increasing_id()``, whose
   value is ``(pid << 33) + offset``: the row's partition in the plan the
   expression is evaluated over, and its position inside that partition.
@@ -46,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
 from repro.rng import multivariate_hypergeometric_split
@@ -60,9 +62,16 @@ _INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
 def partition_sizes(df: DataFrame) -> list[int]:
-    """Row count of every partition, indexed by partition id."""
-    counts = dict(df.groupBy(F.spark_partition_id()).count().collect())
-    return [int(counts.get(pid, 0)) for pid in range(df.rdd.getNumPartitions())]
+    """Row count of every partition, indexed by partition id, from one
+    single-stage Spark job (no shuffle, no rows sent to the driver)."""
+    n_parts = df.rdd.getNumPartitions()
+    if n_parts == 0:
+        return []
+    obs = Observation()
+    counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(n_parts)]
+    df.observe(obs, *counts).write.format("noop").mode("overwrite").save()
+    metrics = obs.get
+    return [int(metrics[f"p{pid}"]) for pid in range(n_parts)]
 
 
 def slots_to_positions(

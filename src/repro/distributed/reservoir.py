@@ -38,7 +38,7 @@ from typing import Any, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.distributed.common import (
@@ -61,32 +61,48 @@ class CoPartitionedReservoir:
       ``sizes``, and updated from the very decisions the driver hands
       out; ``count`` is their sum, so reading either runs no Spark job. A
       round sends workers only counts (or positions) and every select is
-      one Spark SQL pass with zero shuffles. A saturated round
-      (``DRTBS.advance`` → ``replace_random``) runs 3 Spark jobs, as
-      measured: 2 to size the batch (the ``groupBy``'s map and result
-      stages) and 1 for the fused select over ``reservoir ∪ batch`` and
-      its checkpoint. Centralized decisions with more than 64 picks add
-      1 to broadcast their offset bitmaps, and a coalesce adds 2;
+      one Spark SQL pass with zero shuffles. Spark jobs, as measured: a
+      saturated round (``DRTBS.advance`` → ``replace_random``) runs 2, 1
+      to size the batch (``partition_sizes``) and 1 for the fused select
+      over ``reservoir ∪ batch`` and its checkpoint. An Alg. 3 case-3
+      downsample (``keep_random`` then ``extract_one``) runs 1: the
+      keep's select is left pending, and ``extract_one`` evaluates it,
+      fetches the picked row through ``DataFrame.observe`` and
+      checkpoints the rest in one pass. ``insert_rows`` runs 1.
+      Centralized decisions with more than 64 picks add 1 to broadcast
+      their offset bitmaps, a coalesce adds 1, and the first
+      ``extract_one`` adds 1 to learn the pandas dtypes of an item;
     * the new reservoir is a lazy union of eagerly-checkpointed pieces;
       partitions are merged with a (shuffle-free) ``coalesce`` only when
       their number grows past ``4·P``. Which partitions a coalesce merges
       is Spark's choice, so the merged frame is checkpointed lazily and
       sized at once by ``partition_sizes``, whose pass also materializes
-      the checkpoint — the 2 jobs of the ``groupBy``'s two stages.
+      the checkpoint.
 
     CRITICAL evaluation-order invariant: ``spark_partition_id()`` and
     ``monotonically_increasing_id()`` take the partition index of the
-    plan they are evaluated over. ``partition_sizes`` and ``select``
-    project them directly over the frame they are given — the reservoir
-    (a union of checkpointed pieces, or a checkpointed coalesce of one)
-    or ``reservoir ∪ batch`` — so a select's addresses are the partitions
-    and offsets the driver sized. A select is never evaluated underneath
-    a later union or coalesce: it is checkpointed eagerly the moment it
-    is created, and ``coalesce`` is only applied on top of checkpointed
-    scans. Over a frame of local data Spark's optimizer would evaluate
-    the ids on the driver as if it were one partition, so batches arrive
-    checkpointed (``DRTBS.advance``).
+    plan they are evaluated over. ``partition_sizes``, ``select`` and
+    ``extract_one`` project them directly over the frame they are given
+    — the reservoir (a union of checkpointed pieces, a checkpointed
+    coalesce of one, or a pending keep's select over either) or
+    ``reservoir ∪ batch`` — so a select's addresses are the partitions
+    and offsets the driver sized. A select is settled before any union
+    or coalesce: a keep's select stays pending only until the next
+    operation, which evaluates it in its own pass (``extract_one``,
+    ``to_pandas``) or checkpoints it first (``_settled``); every other
+    select is checkpointed eagerly the moment it is created, and
+    ``coalesce`` is only applied on top of checkpointed scans. Over a
+    frame of local data Spark's optimizer would evaluate the ids on the
+    driver as if it were one partition, so batches arrive checkpointed
+    (``DRTBS.advance``).
+
+    Every expression is a SQL string (``F.expr``, ``selectExpr``, a string
+    ``filter``), never a ``Column`` method or ``F.col``: PySpark records
+    the Python call site of each such call, which imports IPython into
+    the driver.
     """
+
+    ROW = "__row"  # a row's address, monotonically_increasing_id()
 
     def __init__(
         self,
@@ -105,6 +121,7 @@ class CoPartitionedReservoir:
         self.op = 0  # monotone op counter: seeds the per-partition streams
         self.df: DataFrame | None = None
         self.sizes: list[int] = []  # row count of every partition of df
+        self._pending = False  # df is a keep's select, not yet checkpointed
         self.schema = None  # the batches' schema, kept across clear()
         self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
         self.P = target_partitions or spark.sparkContext.defaultParallelism
@@ -118,7 +135,16 @@ class CoPartitionedReservoir:
     def _ckpt(df: DataFrame) -> DataFrame:
         return df.localCheckpoint(eager=True)
 
+    def _settled(self) -> DataFrame:
+        """The reservoir's frame, a pending keep checkpointed first; what
+        unions or coalesces on top of the reservoir builds on this."""
+        if self._pending:
+            self.df, self._pending = self._ckpt(self.df), False
+        return self.df
+
     def _set_df(self, df: DataFrame | None, sizes: list[int]) -> None:
+        """Make ``df``, built on the settled reservoir, the reservoir, with
+        the exact row count of every partition in ``sizes``."""
         if len(sizes) > 4 * self.P:
             # merge partitions without a shuffle; the merge is Spark's, so
             # size it (the pass also fills the lazy checkpoint)
@@ -127,7 +153,14 @@ class CoPartitionedReservoir:
             sizes = partition_sizes(df)
             if sum(sizes) != n_rows:
                 raise AssertionError(f"coalesce of {n_rows} rows holds {sum(sizes)}")
-        self.df, self.sizes = df, sizes
+        self.df, self.sizes, self._pending = df, sizes, False
+
+    def _empty_items(self) -> pd.DataFrame:
+        """An empty reservoir's items, with the columns and pandas dtypes
+        of ``to_pandas()``: one Spark job, then none."""
+        if self._empty is None:
+            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
+        return self._empty
 
     def _choice(self, sizes: list[int], k: int) -> dict:
         """A decision for k picks: ``{pid: offsets}`` (cent, arrays) or
@@ -169,28 +202,48 @@ class CoPartitionedReservoir:
             self.schema = batch_df.schema
             self._set_df(batch_df, list(sizes))
         else:
-            self._set_df(self.df.unionByName(batch_df), self.sizes + list(sizes))
+            self._set_df(self._settled().unionByName(batch_df), self.sizes + list(sizes))
 
     def keep_random(self, k: int) -> None:
-        """Downsample the reservoir to ``k`` uniform survivors."""
+        """Downsample the reservoir to ``k`` uniform survivors. The select
+        is left pending, for the next operation to checkpoint."""
         if k >= self.count:
             return
         decision = self._choice(self.sizes, k)
-        kept = self._ckpt(self._select(self.df, self._spec(decision, self.sizes, "keep")))
-        self._set_df(kept, self._picked(decision, len(self.sizes)))
+        self.df = self._select(self.df, self._spec(decision, self.sizes, "keep"))
+        self.sizes = self._picked(decision, len(self.sizes))
+        self._pending = True
 
     def extract_one(self) -> dict[str, Any] | None:
         """Remove and return one uniformly random item (for the latent
-        sample's partial-item moves)."""
+        sample's partial-item moves), in one Spark pass that also settles
+        a pending keep: the pass tags every row with its address, reports
+        the picked row through ``DataFrame.observe`` and checkpoints the
+        others."""
         if self.count == 0:
             return None
         sizes = self.sizes
         decision = central_positions(self.rng, sizes, 1)
-        row = self._select(self.df, self._spec(decision, sizes, "keep")).toPandas()
-        rest = self._ckpt(self._select(self.df, self._spec(decision, sizes, "drop")))
+        (address,) = addresses(decision)
+        # two op numbers, the fetch and the drop of the two-pass extract,
+        # so a seed realizes the same samples as it always has
+        self.op += 2
+        cols = [f"`{c}`" for c in self.df.columns]
+        obs = Observation()
+        picked = f"first(CASE WHEN {self.ROW} = {address} THEN struct({', '.join(cols)}) END, true)"
+        rest = self._ckpt(
+            self.df.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
+            .observe(obs, F.expr(f"{picked} AS picked"))
+            .filter(f"{self.ROW} != {address}")
+            .selectExpr(*cols)
+        )
         removed = self._picked(decision, len(sizes))
         self._set_df(rest, [s - r for s, r in zip(sizes, removed)])
-        return dict(row.iloc[0])
+        # the values and types of a to_pandas() row: every non-null value
+        # cast to its column's pandas dtype
+        item, empty = obs.get["picked"].asDict(), self._empty_items()
+        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
+        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:
         if not rows:
@@ -201,7 +254,7 @@ class CoPartitionedReservoir:
             self.spark.createDataFrame(pd.DataFrame(rows), schema=self.df.schema)
             .coalesce(1)  # single known partition: sizes stay exact
         )
-        self._set_df(self.df.unionByName(small), self.sizes + [len(rows)])
+        self._set_df(self._settled().unionByName(small), self.sizes + [len(rows)])
 
     def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         """Saturated-regime hot path: m random victims in the reservoir
@@ -216,7 +269,7 @@ class CoPartitionedReservoir:
         # union — deterministic, so the driver can address them directly.
         spec = self._spec(res_decision, res_sizes, "drop")
         spec.update(self._spec(ins_decision, sizes, "keep", len(res_sizes)))
-        new_df = self._ckpt(self._select(self.df.unionByName(batch_df), spec))
+        new_df = self._ckpt(self._select(self._settled().unionByName(batch_df), spec))
         removed = self._picked(res_decision, len(res_sizes))
         new_sizes = [s - r for s, r in zip(res_sizes, removed)]
         new_sizes += self._picked(ins_decision, len(sizes))
@@ -226,13 +279,11 @@ class CoPartitionedReservoir:
         self._set_df(None, [])
 
     def to_pandas(self) -> pd.DataFrame:
-        if self.df is not None:
+        if self.df is not None:  # a pending keep is read as it stands
             return self.df.toPandas()
         if self.schema is None:
             return pd.DataFrame()
-        if self._empty is None:  # one Spark job, then none per realization
-            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
-        return self._empty.copy()
+        return self._empty_items().copy()
 
 
 class KVReservoir:

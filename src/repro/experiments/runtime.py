@@ -3,7 +3,7 @@
 Reproduces Figure 7 (five implementations) and Figure 9 (scale-up with
 batch size) as runtime tables on local Spark. The stream is a sequence
 of integer-payload micro-batches (``make_int_batch``: a batch-time
-column and a random integer key per row) at the requested size; the
+column and a seeded hash key per row) at the requested size; the
 reservoir is warmed into the saturated regime first so every measured
 round exercises the paper's hot path (delete/insert coordination),
 exactly as in the cluster experiments (batch 10M, reservoir 20M,
@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.distributed import DRTBS, DTTBS
@@ -36,20 +35,17 @@ IMPLS: dict[str, dict[str, str]] = {
 def make_int_batch(
     spark: SparkSession, t: int, size: int, n_parts: int, seed: int = 0
 ) -> DataFrame:
-    """A checkpointed integer-payload micro-batch with ``n_parts``
-    partitions (checkpointing freezes partition layout, as required by
-    the positional decision strategies)."""
-    rng = np.random.default_rng([seed, t])
-    pdf = pd.DataFrame(
-        {
-            "t": np.full(size, t, dtype=np.int64),
-            "key": rng.integers(0, 1 << 30, size=size),
-        }
+    """A checkpointed integer-payload micro-batch of ``size`` rows in
+    ``n_parts`` partitions (checkpointing freezes partition layout, as
+    required by the positional decision strategies). Built by Spark from
+    ``range``, so its rows and partitions depend only on the arguments,
+    not on the session's Arrow setting; the key is a 30-bit hash of
+    (seed, t, row)."""
+    return (
+        spark.range(0, size, 1, n_parts)
+        .selectExpr(f"CAST({t} AS long) AS t", f"xxhash64({seed}, {t}, id) & {(1 << 30) - 1} AS key")
+        .localCheckpoint(eager=True)
     )
-    df = spark.createDataFrame(pdf)
-    if df.rdd.getNumPartitions() != n_parts:
-        df = df.repartition(n_parts)
-    return df.localCheckpoint(eager=True)
 
 
 def run_impl(

@@ -270,18 +270,20 @@ class TestNoPythonWorker:
         assert "Python" not in plan and "Pandas" not in plan, plan
 
     def test_partition_sizes(self, df40, batch30, monkeypatch):
-        plans = []
+        observed = []
         frame = type(df40)  # the session's DataFrame class
-        collect = frame.collect
+        observe = frame.observe
 
-        def recorded(df):
-            rows = collect(df)
-            plans.append(df._jdf.queryExecution().executedPlan().toString())
-            return rows
+        def recorded(df, *args):
+            out = observe(df, *args)
+            observed.append(out)
+            return out
 
-        monkeypatch.setattr(frame, "collect", recorded)
+        # the sizing pass writes an observed frame; its plan is the one run
+        monkeypatch.setattr(frame, "observe", recorded)
         partition_sizes(df40.unionByName(batch30))
         monkeypatch.undo()
+        plans = [df._jdf.queryExecution().executedPlan().toString() for df in observed]
         assert plans
         for plan in plans:
             self.assert_jvm_only(plan)

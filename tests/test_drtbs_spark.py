@@ -15,7 +15,12 @@ import pytest
 
 from repro.core.rtbs import RTBS
 from repro.distributed import DRTBS
-from repro.distributed.reservoir import KVReservoir, central_positions, partition_sizes
+from repro.distributed.reservoir import (
+    CoPartitionedReservoir,
+    KVReservoir,
+    central_positions,
+    partition_sizes,
+)
 
 SCHEMA = "t long, i long"
 
@@ -232,6 +237,135 @@ class TestArrowOff:
             spark.conf.set(key, old)
         assert len(samples[0]) == n
         pd.testing.assert_frame_equal(samples[0], samples[1])
+
+
+def jobs_in(sc, group, action):
+    """Run ``action`` in a job group; return its result and the number of
+    Spark jobs it launched."""
+    sc.setJobGroup(group, group)
+    try:
+        out = action()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(list(sc.statusTracker().getJobIdsForGroup(group)))
+
+
+TYPED_COLUMNS = [
+    "CAST(id AS long) AS t",
+    "CAST(id AS int) AS i",
+    "id * 0.25D AS x",
+    "CAST(id / 8 AS decimal(10, 2)) AS d",
+    "concat('s', id) AS s",
+    "timestamp_seconds(1500000000 + 37 * id) AS ts",
+]
+
+
+def typed_batch(spark, size):
+    """``long``, ``int``, ``double``, ``decimal``, ``string`` and
+    ``timestamp`` columns in 4 partitions, checkpointed as
+    ``DRTBS.advance`` would."""
+    return spark.range(0, size, 1, 4).selectExpr(*TYPED_COLUMNS).localCheckpoint(eager=True)
+
+
+class TestOnePassExtract:
+    """``extract_one`` on the co-partitioned reservoir: one Spark pass
+    that settles a pending keep, fetches the picked row and checkpoints
+    the rest."""
+
+    @staticmethod
+    def filled(spark, strategy):
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=3)
+        batch = typed_batch(spark, 40)
+        R.insert_all(batch, partition_sizes(batch))
+        return R, batch.toPandas()
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_case3_downsample_is_one_job(self, spark, strategy):
+        R, source = self.filled(spark, strategy)
+        R.extract_one()  # the first extract also learns the pandas dtypes
+        sc = spark.sparkContext
+        item, jobs = jobs_in(sc, f"case3-{strategy}", lambda: (R.keep_random(12), R.extract_one())[1])
+        assert jobs == 1
+        assert R.count == 11 and R.sizes == R.df.rdd.glom().map(len).collect()
+        rest = R.to_pandas()
+        assert item["i"] not in set(rest["i"]) and item["i"] in set(source["i"])
+        assert not rest.duplicated().any()
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_extract_from_one_row_partition(self, spark, strategy):
+        """The row ``insert_rows`` puts back sits alone in its partition;
+        when it is the pick, it is returned and its partition emptied."""
+        R, source = self.filled(spark, strategy)
+        row = R.extract_one()
+        R.keep_random(0)
+        R.insert_rows([row])
+        assert R.sizes[-1] == 1 and R.count == 1
+        assert R.extract_one() == row
+        assert R.count == 0 and R.sizes == R.df.rdd.glom().map(len).collect()
+        assert R.to_pandas().empty
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_partial_item_round_trip(self, spark, strategy):
+        """The partial item holds the values and types of its row in the
+        batch's ``toPandas()``, so a realized sample that includes it
+        equals those rows, dtypes and all."""
+        d = DRTBS(spark, 2.0, 10, seed=9, storage="cp", strategy=strategy)
+        d.advance(spark.range(0, 40, 1, 4).selectExpr(*TYPED_COLUMNS))
+        d.advance(spark.range(0, 0, 1, 4).selectExpr(*TYPED_COLUMNS))
+        assert d.partial is not None and d.reservoir.count == 5
+        source = typed_batch(spark, 40).toPandas().set_index("i", drop=False)
+        expected = source.loc[d.partial["i"]]
+        assert list(d.partial) == list(source.columns)
+        for col, value in d.partial.items():
+            assert value == expected[col] and type(value) is type(expected[col]), col
+        for seed in range(30):
+            sample = d.sample_pandas(rng=np.random.default_rng(seed))
+            if len(sample) == 6:
+                break
+        assert len(sample) == 6
+        got = sample.sort_values("i").reset_index(drop=True)
+        want = source.loc[sorted(sample["i"])].reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
+
+
+class TestNoCallSiteCapture:
+    """PySpark 4.1 records the Python call site of every ``Column`` method
+    call, importing IPython on the way (about 25 MB of the driver's
+    Python memory). Every co-partitioned pass builds its expressions as
+    SQL strings, so no round calls it."""
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_rounds_capture_no_call_site(self, spark, strategy, monkeypatch):
+        from pyspark.errors import utils
+        from pyspark.sql import functions as F
+
+        calls = []
+        capture = utils._capture_call_site
+
+        def recorded(depth):
+            calls.append(depth)
+            return capture(depth)
+
+        monkeypatch.setattr(utils, "_capture_call_site", recorded)
+        lam, n = 0.3, 20
+        sched = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0),
+                 (12, 1.0), (9, 1.0), (14, 1.0), (5, 1.0)]
+        d = DRTBS(spark, lam, n, seed=8, storage="cp", strategy=strategy, target_partitions=1)
+        branches = set()
+        for t, (b, dt) in enumerate(sched):
+            saturated = d.total_weight >= n - 1e-9
+            d.advance(spark.range(0, b, 1, 4).selectExpr(f"{t} AS t", "id AS i"), dt=dt)
+            W = d.total_weight
+            if saturated:
+                branches.add("saturated" if W >= n - 1e-9 else "undershoot")
+            else:
+                branches.add("overshoot" if W > n + 1e-9 else "unsaturated")
+        d.sample_pandas(rng=np.random.default_rng(0))
+        assert branches == {"unsaturated", "overshoot", "undershoot", "saturated"}
+        assert calls == []
+        F.col("t") == 1  # the probe sees a Column method call
+        assert calls
 
 
 class TestKVReservoir:

@@ -125,3 +125,21 @@ class TestRuntimeHelpers:
         assert np.array_equal(
             np.sort(a["key"].to_numpy()), np.sort(b["key"].to_numpy())
         )
+
+    def test_make_int_batch_without_arrow(self, spark):
+        """The same arguments build the same rows in the same partitions
+        with Arrow on and off, a 0-row batch included."""
+        from repro.experiments.runtime import make_int_batch
+
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        old = spark.conf.get(key)
+        built = []
+        try:
+            for arrow in ["true", "false"]:
+                spark.conf.set(key, arrow)
+                built.append([make_int_batch(spark, 3, size, 4, seed=5).rdd.glom().collect() for size in (150, 0)])
+        finally:
+            spark.conf.set(key, old)
+        assert built[0] == built[1]
+        assert len(built[0][0]) == 4 and sum(map(len, built[0][0])) == 150
+        assert not any(built[0][1])
