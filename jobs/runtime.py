@@ -2,7 +2,7 @@
 """Reproduce Figure 7 (runtime of distributed TBS implementations).
 
     python jobs/runtime.py
-    BATCH=200000 N=400000 ROUNDS=5 python jobs/runtime.py
+    BATCH=200000 N=400000 ROUNDS=12 python jobs/runtime.py
 """
 import os
 import sys
@@ -11,7 +11,7 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 from _session import get_spark  # noqa: E402
 
-from repro.experiments.runtime import format_runtime, run_figure7  # noqa: E402
+from repro.experiments.runtime import ROUNDS, format_runtime, run_figure7  # noqa: E402
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
         spark,
         batch_size=int(os.environ.get("BATCH", "50000")),
         n=int(os.environ.get("N", "100000")),
-        rounds=int(os.environ.get("ROUNDS", "5")),
+        rounds=int(os.environ.get("ROUNDS", ROUNDS)),
     )
     print("# Figure 7 — per-batch runtime of distributed TBS implementations")
     print(format_runtime(res))

@@ -16,11 +16,10 @@ the JVM executors with no Python worker:
   value is ``(pid << 33) + offset``: the row's partition in the plan the
   expression is evaluated over, and its position inside that partition.
   The expression is projected directly over the given DataFrame, so the
-  addresses are those of its own partitions — for ``reservoir ∪ batch``,
-  union partition ids, which are the branch ids offset by the partition
-  count of the branches before them. A frame of local data must be
-  checkpointed first: over it, Spark's optimizer evaluates both ids on
-  the driver as if the frame were one partition;
+  addresses are those of its own partitions; the co-partitioned
+  reservoir gives it one checkpointed piece at a time. A frame of local
+  data must be checkpointed first: over it, Spark's optimizer evaluates
+  both ids on the driver as if the frame were one partition;
 * ``addresses`` gives the driver the same address for each picked
   ``(partition, offset)``, which the key-value reservoir joins the batch
   on.
@@ -58,7 +57,7 @@ _RANK = "__rank"  # the same after ordering each partition by rand(s)
 _PID = "__pid"
 _BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
 _PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
-_INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
+INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
 def partition_sizes(df: DataFrame) -> list[int]:
@@ -162,6 +161,7 @@ def select(
     *,
     seed: int,
     round_no: int,
+    exclude: Sequence[int] = (),
 ) -> DataFrame:
     """One pass keeping (or dropping) picked rows, per partition.
 
@@ -170,11 +170,14 @@ def select(
     count (distributed decisions: the partition's first ``count`` rows
     in the order of ``rand(s)``, ``s`` drawn from (seed, round_no), so
     the same (seed, round) picks the same rows). Partitions absent from
-    the spec pass through unchanged. This lets D-R-TBS's saturated-path
-    delete+insert run as a single Spark job over ``reservoir ∪ batch``.
+    the spec pass through unchanged. The rows at the addresses in
+    ``exclude`` (a few, listed inline) are dropped first, so a count
+    ranks only the rows left. One pass, no shuffle.
     """
     cols = df.columns
     out = df.withColumn(_ROW, F.monotonically_increasing_id())
+    if len(exclude):
+        out = out.filter(f"{_ROW} NOT IN ({', '.join(map(str, exclude))})")
     offset_mask = (1 << _PID_SHIFT) - 1
     offsets = {
         pid: np.asarray(p, dtype=np.int64)
@@ -182,7 +185,7 @@ def select(
         if not isinstance(p, (int, np.integer)) and len(p)
     }
     n_addresses = sum(map(len, offsets.values()))
-    if n_addresses > _INLINE_ADDRESSES:
+    if n_addresses > INLINE_ADDRESSES:
         # One row per partition, whatever the number of picks: a bitmap
         # ships and probes faster than a broadcast table of addresses.
         bitmaps = df.sparkSession.createDataFrame(

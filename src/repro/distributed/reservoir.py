@@ -12,10 +12,10 @@ Two implementations of the paper's reservoir data structure:
 
 * ``CoPartitionedReservoir`` — the paper's recommended design: reservoir
   partitions coincide with incoming-batch partitions, inserts/deletes
-  are applied locally by each worker (no shuffle). Supports both the
-  *centralized* (driver-generated slot positions) and *distributed*
-  (per-partition multivariate-hypergeometric counts) decision
-  strategies of Sec. 5.3.
+  are composed on the driver and applied locally by each worker (no
+  shuffle) when the reservoir merges. Supports both the *centralized*
+  (driver-generated offsets) and *distributed* (per-partition
+  multivariate-hypergeometric counts) decision strategies of Sec. 5.3.
 
 * ``KVReservoir`` — simulates an off-the-shelf distributed key-value
   store (Memcached/Redis in the paper): every item lives under a slot
@@ -28,20 +28,24 @@ Two implementations of the paper's reservoir data structure:
   in place — Fig. 6(a)). The join hint is the only difference.
 
 Every pass of both runs as Spark SQL inside the JVM executors, so no
-Python worker (and no ``repro`` import on a worker) is needed. Both
-freeze lineage with ``localCheckpoint`` every round, standing in for
-the paper's in-place RDD updates + checkpointing (Appendix E).
+Python worker (and no ``repro`` import on a worker) is needed. They
+freeze lineage with ``localCheckpoint``, standing in for the paper's
+in-place RDD updates + checkpointing (Appendix E): the key-value store
+every round, the co-partitioned reservoir only when it merges.
 """
 from __future__ import annotations
 
-from typing import Any, Mapping
+import bisect
+import functools
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.distributed.common import (
+from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches through it
+    INLINE_ADDRESSES,
     addresses,
     central_positions,
     distributed_counts,
@@ -49,52 +53,153 @@ from repro.distributed.common import (
     position_spec,
     select,
 )
-from repro.rng import make_rng
+from repro.rng import make_rng, sample_without_replacement
+
+
+class PendingDecisions:
+    """The co-partitioned reservoir's items between merges, composed on the
+    driver in plain Python.
+
+    The items are rows of stored partitions ``0 .. len(stored) - 1``
+    (``stored[j]`` rows each, addressed by offset) and the driver-held
+    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items: a
+    uniform ``keep[j]``-subset of its rows whose offsets are not in
+    ``excluded[j]``, drawn only when the reservoir merges. The reservoir
+    operations change only these counts, exclusions and held rows, with
+    draws from ``rng``, and give ``(A, π)`` the law a ``ListReservoir``
+    gives it: a uniform subset of a uniform subset is a uniform subset,
+    and a uniform member of a uniform k-subset of a partition's eligible
+    rows is uniform over those rows, the other k − 1 a uniform subset of
+    the rest.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.clear()
+
+    def clear(self) -> None:
+        self.stored: list[int] = []
+        self.keep: list[int] = []
+        self.excluded: list[list[int]] = []  # sorted offsets, per stored partition
+        self.held: list[Any] = []
+
+    @property
+    def sizes(self) -> list[int]:
+        """Items in every partition: the stored partitions, then the held
+        rows as one more partition if there are any."""
+        return self.keep + ([len(self.held)] if self.held else [])
+
+    @property
+    def count(self) -> int:
+        return sum(self.keep) + len(self.held)
+
+    def due(self, max_partitions: int) -> bool:
+        """Whether the reservoir should merge: it has more than
+        ``max_partitions`` partitions, or as many excluded rows as
+        ``select`` lists inline."""
+        n_excluded = sum(map(len, self.excluded))
+        return len(self.sizes) > max_partitions or n_excluded >= INLINE_ADDRESSES
+
+    def add(self, sizes: Sequence[int], keep: Sequence[int]) -> None:
+        """Store new partitions of ``sizes`` rows, ``keep`` of them items."""
+        self.stored += list(sizes)
+        self.keep += list(keep)
+        self.excluded += [[] for _ in sizes]
+
+    def merged(self, sizes: Sequence[int]) -> None:
+        """The items were rewritten into partitions of ``sizes`` rows."""
+        self.clear()
+        self.add(sizes, sizes)
+
+    def _counts(self, sizes: Sequence[int], k: int) -> list[int]:
+        """How many of k uniform picks fall in each partition."""
+        counts = distributed_counts(self.rng, sizes, k)
+        return [counts.get(pid, 0) for pid in range(len(sizes))]
+
+    def _take(self, counts: list[int]) -> None:
+        """Keep ``counts[j]`` items of every partition: a count for a stored
+        one, a uniform subset of the held rows."""
+        n_stored = len(self.keep)
+        self.keep = counts[:n_stored]
+        if self.held and counts[n_stored] < len(self.held):
+            self.held = sample_without_replacement(self.rng, self.held, counts[n_stored])
+
+    def keep_random(self, k: int) -> None:
+        self._take(self._counts(self.sizes, k))
+
+    def extract_one(self, fetch: Callable[[int, int], Any]) -> Any:
+        """Remove and return a uniform item: a partition drawn in proportion
+        to its items, then a uniform row of it. A stored row is set aside
+        and read by ``fetch(partition, offset)``."""
+        slot = int(self.rng.integers(self.count))
+        for pid, size in enumerate(self.sizes):
+            if slot < size:
+                break
+            slot -= size
+        if pid == len(self.keep):
+            return self.held.pop(slot)
+        excluded = self.excluded[pid]
+        offset = int(self.rng.integers(self.stored[pid] - len(excluded)))
+        for e in excluded:  # the offset-th row not excluded
+            if e > offset:
+                break
+            offset += 1
+        bisect.insort(excluded, offset)
+        self.keep[pid] -= 1
+        return fetch(pid, offset)
+
+    def insert_rows(self, rows: Sequence[Any]) -> None:
+        self.held += list(rows)
+
+    def replace_random(self, m: int, sizes: Sequence[int]) -> None:
+        """m uniform victims leave; m uniform rows of a batch of ``sizes``,
+        stored as new partitions, come in."""
+        victims = self._counts(self.sizes, m)
+        self._take([c - v for c, v in zip(self.sizes, victims)])
+        self.add(sizes, self._counts(sizes, m))
 
 
 class CoPartitionedReservoir:
     """Reservoir co-partitioned with incoming batches (Fig. 5(b)).
 
-    Performance notes mirroring the paper's design rationale:
+    The rows live in checkpointed *pieces* — the last merge and every
+    batch since — which no operation rewrites. Reservoir partitions
+    coincide with the pieces' partitions (the automatic co-partitioning
+    of Sec. 5.2), and the driver's ``PendingDecisions`` say which of their
+    rows are items: a keep count per partition, the addresses
+    ``extract_one`` set aside, and the rows ``insert_rows`` put back,
+    which stay on the driver. ``sizes`` (items per partition) and
+    ``count`` are read there, with no Spark job.
 
-    * the row count of every partition is tracked *on the driver*, in
-      ``sizes``, and updated from the very decisions the driver hands
-      out; ``count`` is their sum, so reading either runs no Spark job. A
-      round sends workers only counts (or positions) and every select is
-      one Spark SQL pass with zero shuffles. Spark jobs, as measured: a
-      saturated round (``DRTBS.advance`` → ``replace_random``) runs 2, 1
-      to size the batch (``partition_sizes``) and 1 for the fused select
-      over ``reservoir ∪ batch`` and its checkpoint. An Alg. 3 case-3
-      downsample (``keep_random`` then ``extract_one``) runs 1: the
-      keep's select is left pending, and ``extract_one`` evaluates it,
-      fetches the picked row through ``DataFrame.observe`` and
-      checkpoints the rest in one pass. ``insert_rows`` runs 1.
-      Centralized decisions with more than 64 picks add 1 to broadcast
-      their offset bitmaps, a coalesce adds 1, and the first
-      ``extract_one`` adds 1 to learn the pandas dtypes of an item;
-    * the new reservoir is a lazy union of eagerly-checkpointed pieces;
-      partitions are merged with a (shuffle-free) ``coalesce`` only when
-      their number grows past ``4·P``. Which partitions a coalesce merges
-      is Spark's choice, so the merged frame is checkpointed lazily and
-      sized at once by ``partition_sizes``, whose pass also materializes
-      the checkpoint.
+    Spark jobs, as measured: ``keep_random``, ``insert_rows``, and
+    ``insert_all`` and ``replace_random`` given a batch the caller sized
+    (``DRTBS.advance`` sizes it in one job), run none; ``extract_one``
+    runs 1, a filter on the picked row's address over its piece (the
+    first adds 1 to learn the pandas dtypes of an item), or none when the
+    pick is a driver-held row. The reservoir *merges* when it has
+    more than ``4·P`` partitions or 64 excluded addresses (the ones
+    ``select`` lists inline): one pass (1 job; Cent-CP adds 1 to
+    broadcast its offset bitmaps) drops the excluded rows, applies the keep
+    counts, unions the held rows, ``coalesce``-s to ``P`` partitions,
+    reads their sizes through ``DataFrame.observe`` and checkpoints.
+    Distributed decisions keep each partition's first rows in ``rand``
+    order; centralized ones keep offsets drawn on the driver from a stream
+    seeded by the piece, so ``df`` — the lazy view of the items that a
+    merge checkpoints — is the same frame however often it is built.
 
     CRITICAL evaluation-order invariant: ``spark_partition_id()`` and
-    ``monotonically_increasing_id()`` take the partition index of the
-    plan they are evaluated over. ``partition_sizes``, ``select`` and
-    ``extract_one`` project them directly over the frame they are given
-    — the reservoir (a union of checkpointed pieces, a checkpointed
-    coalesce of one, or a pending keep's select over either) or
-    ``reservoir ∪ batch`` — so a select's addresses are the partitions
-    and offsets the driver sized. A select is settled before any union
-    or coalesce: a keep's select stays pending only until the next
-    operation, which evaluates it in its own pass (``extract_one``,
-    ``to_pandas``) or checkpoints it first (``_settled``); every other
-    select is checkpointed eagerly the moment it is created, and
-    ``coalesce`` is only applied on top of checkpointed scans. Over a
-    frame of local data Spark's optimizer would evaluate the ids on the
-    driver as if it were one partition, so batches arrive checkpointed
-    (``DRTBS.advance``).
+    ``monotonically_increasing_id()`` take the partition index of the plan
+    they are evaluated over. Every row address (``select``, the fetch) is
+    therefore projected directly over one checkpointed piece, whose
+    partitions and offsets the driver counted, and every union and the
+    merge's ``coalesce`` sit above those projections. Unions put a
+    zero-partition frame first: Spark 4.1 merges partition i of every
+    child when all of them report a single partition
+    (``spark.sql.unionOutputPartitioning``), and one child that does not
+    keeps the partitions concatenated, so the view's partitions are the
+    ``sizes`` the driver holds. Over a frame of local data Spark's
+    optimizer would evaluate the ids on the driver as if it were one
+    partition, so batches arrive checkpointed (``DRTBS.advance``).
 
     Every expression is a SQL string (``F.expr``, ``selectExpr``, a string
     ``filter``), never a ``Column`` method or ``F.col``: PySpark records
@@ -116,44 +221,113 @@ class CoPartitionedReservoir:
             raise ValueError(f"unknown decision strategy {strategy!r}")
         self.spark = spark
         self.strategy = strategy
-        self.rng = make_rng(seed)
         self.seed = seed
-        self.op = 0  # monotone op counter: seeds the per-partition streams
-        self.df: DataFrame | None = None
-        self.sizes: list[int] = []  # row count of every partition of df
-        self._pending = False  # df is a keep's select, not yet checkpointed
+        self.op = 0  # monotone piece counter: seeds each piece's rand order
+        self.pending = PendingDecisions(make_rng(seed))
+        # checkpointed frames in partition order: (frame, partitions, op)
+        self.pieces: list[tuple[DataFrame, int, int]] = []
         self.schema = None  # the batches' schema, kept across clear()
+        self._guard: DataFrame | None = None  # zero partitions, first in unions
+        self._df: DataFrame | None = None  # the view, until the items change
         self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
         self.P = target_partitions or spark.sparkContext.defaultParallelism
 
     @property
+    def sizes(self) -> list[int]:
+        return self.pending.sizes
+
+    @property
     def count(self) -> int:
-        return sum(self.sizes)
+        return self.pending.count
+
+    @property
+    def df(self) -> DataFrame | None:
+        """The items as a lazy frame whose partitions hold ``sizes`` rows:
+        every piece with its pending decisions applied, then the
+        driver-held rows."""
+        if self._df is None and (self.pieces or self.pending.held):
+            parts, first = [self._guard], 0
+            for frame, n_parts, op in self.pieces:
+                parts.append(self._apply(frame, first, n_parts, op))
+                first += n_parts
+            if self.pending.held:
+                held = pd.DataFrame(self.pending.held, columns=self.schema.names)
+                parts.append(self.spark.createDataFrame(held, schema=self.schema).coalesce(1))
+            self._df = functools.reduce(DataFrame.unionByName, parts)
+        return self._df
 
     # -- bookkeeping ---------------------------------------------------
-    @staticmethod
-    def _ckpt(df: DataFrame) -> DataFrame:
-        return df.localCheckpoint(eager=True)
+    def _apply(self, frame: DataFrame, first: int, n_parts: int, op: int) -> DataFrame:
+        """A piece (partitions ``first ..``) with its pending decisions
+        applied: one ``select`` over the checkpointed frame."""
+        pend = self.pending
+        spec, excluded = {}, {}
+        gen = np.random.default_rng([self.seed, op]) if self.strategy == "cent" else None
+        for pid in range(n_parts):
+            stored, keep, ex = pend.stored[first + pid], pend.keep[first + pid], pend.excluded[first + pid]
+            if keep == stored:
+                continue
+            if gen is not None:
+                eligible = np.setdiff1d(np.arange(stored), ex)
+                if keep < len(eligible):
+                    eligible = np.sort(gen.choice(eligible, keep, replace=False))
+                spec[pid] = position_spec({0: eligible}, [stored], "keep")[0]
+            else:
+                excluded[pid] = ex
+                if keep < stored - len(ex):
+                    spec[pid] = ("keep", keep)
+        if not spec and not excluded:
+            return frame
+        return select(frame, spec, seed=self.seed, round_no=op, exclude=addresses(excluded))
 
-    def _settled(self) -> DataFrame:
-        """The reservoir's frame, a pending keep checkpointed first; what
-        unions or coalesces on top of the reservoir builds on this."""
-        if self._pending:
-            self.df, self._pending = self._ckpt(self.df), False
-        return self.df
+    def _fetch(self, pid: int, offset: int) -> dict[str, Any]:
+        """The row at ``offset`` of stored partition ``pid``, with the
+        values and types of a ``to_pandas()`` row: one Spark job over its
+        piece (the first fetch adds one to learn the pandas dtypes)."""
+        for frame, n_parts, _ in self.pieces:
+            if pid < n_parts:
+                break
+            pid -= n_parts
+        (address,) = addresses({pid: [offset]})
+        cols = [f"`{c}`" for c in frame.columns]
+        (row,) = (
+            frame.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
+            .filter(f"{self.ROW} = {address}")
+            .selectExpr(*cols)
+            .collect()
+        )
+        # every non-null value cast to its column's pandas dtype
+        item, empty = row.asDict(), self._empty_items()
+        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
+        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
 
-    def _set_df(self, df: DataFrame | None, sizes: list[int]) -> None:
-        """Make ``df``, built on the settled reservoir, the reservoir, with
-        the exact row count of every partition in ``sizes``."""
-        if len(sizes) > 4 * self.P:
-            # merge partitions without a shuffle; the merge is Spark's, so
-            # size it (the pass also fills the lazy checkpoint)
-            n_rows = sum(sizes)
-            df = df.coalesce(self.P).localCheckpoint(eager=False)
-            sizes = partition_sizes(df)
-            if sum(sizes) != n_rows:
-                raise AssertionError(f"coalesce of {n_rows} rows holds {sum(sizes)}")
-        self.df, self.sizes, self._pending = df, sizes, False
+    def _add_piece(self, frame: DataFrame, n_parts: int) -> None:
+        if self.schema is None:
+            self.schema = frame.schema
+            self._guard = frame.limit(0).localCheckpoint(eager=False)
+        self.op += 1
+        self.pieces.append((frame, n_parts, self.op))
+
+    def _changed(self) -> None:
+        """Drop the stale view; merge if the reservoir is due."""
+        self._df = None
+        if self.pending.due(4 * self.P):
+            self._merge()
+
+    def _merge(self) -> None:
+        """Rewrite the items into ``P`` checkpointed partitions in one
+        pass, sized by ``observe`` counts over the merged partitions."""
+        obs = Observation()
+        counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(self.P)]
+        merged = self.df.coalesce(self.P).observe(obs, *counts).localCheckpoint(eager=True)
+        metrics = obs.get
+        sizes = [int(metrics[f"p{pid}"]) for pid in range(merged.rdd.getNumPartitions())]
+        if sum(sizes) != self.count:
+            raise AssertionError(f"merge of {self.count} items holds {sum(sizes)}")
+        self.pieces = []
+        self._add_piece(merged, len(sizes))
+        self.pending.merged(sizes)
+        self._df = None
 
     def _empty_items(self) -> pd.DataFrame:
         """An empty reservoir's items, with the columns and pandas dtypes
@@ -162,124 +336,55 @@ class CoPartitionedReservoir:
             self._empty = self.spark.createDataFrame([], self.schema).toPandas()
         return self._empty
 
-    def _choice(self, sizes: list[int], k: int) -> dict:
-        """A decision for k picks: ``{pid: offsets}`` (cent, arrays) or
-        ``{pid: count}`` (dist, ints); the value's type tells which."""
-        if self.strategy == "cent":
-            return central_positions(self.rng, sizes, k)
-        return distributed_counts(self.rng, sizes, k)
-
-    @staticmethod
-    def _picked(decision: dict, n_parts: int) -> list[int]:
-        """Rows a decision picks in every partition."""
-        picks = [decision.get(pid, 0) for pid in range(n_parts)]
-        return [p if isinstance(p, int) else len(p) for p in picks]
-
-    @staticmethod
-    def _spec(decision: dict, sizes: list[int], mode: str, first_pid: int = 0) -> dict:
-        """``select`` spec applying ``mode`` to a decision's picks in every
-        partition, addressed from ``first_pid`` on."""
-        if any(isinstance(p, np.ndarray) for p in decision.values()):
-            spec = position_spec(decision, sizes, mode)
-        else:
-            spec = {
-                pid: (mode, decision.get(pid, 0))
-                for pid in range(len(sizes))
-                if mode == "keep" or pid in decision
-            }
-        return {first_pid + pid: entry for pid, entry in spec.items()}
-
-    def _select(self, df: DataFrame, spec: dict) -> DataFrame:
-        self.op += 1
-        return select(df, spec, seed=self.seed, round_no=self.op)
-
     # -- reservoir operations -----------------------------------------
     def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:
         """Append the whole batch, a checkpointed frame whose per-partition
-        ``sizes`` the caller measured; partitions concatenate (the
-        automatic co-partitioning property of Sec. 5.2)."""
-        if self.df is None:
-            self.schema = batch_df.schema
-            self._set_df(batch_df, list(sizes))
-        else:
-            self._set_df(self._settled().unionByName(batch_df), self.sizes + list(sizes))
+        ``sizes`` the caller measured, as a new piece."""
+        self.pending.add(sizes, sizes)
+        self._add_piece(batch_df, len(sizes))
+        self._changed()
 
     def keep_random(self, k: int) -> None:
-        """Downsample the reservoir to ``k`` uniform survivors. The select
-        is left pending, for the next operation to checkpoint."""
+        """Downsample the reservoir to ``k`` uniform survivors."""
         if k >= self.count:
             return
-        decision = self._choice(self.sizes, k)
-        self.df = self._select(self.df, self._spec(decision, self.sizes, "keep"))
-        self.sizes = self._picked(decision, len(self.sizes))
-        self._pending = True
+        self.pending.keep_random(k)
+        self._changed()
 
     def extract_one(self) -> dict[str, Any] | None:
         """Remove and return one uniformly random item (for the latent
-        sample's partial-item moves), in one Spark pass that also settles
-        a pending keep: the pass tags every row with its address, reports
-        the picked row through ``DataFrame.observe`` and checkpoints the
-        others."""
+        sample's partial-item moves)."""
         if self.count == 0:
             return None
-        sizes = self.sizes
-        decision = central_positions(self.rng, sizes, 1)
-        (address,) = addresses(decision)
-        # two op numbers, the fetch and the drop of the two-pass extract,
-        # so a seed realizes the same samples as it always has
-        self.op += 2
-        cols = [f"`{c}`" for c in self.df.columns]
-        obs = Observation()
-        picked = f"first(CASE WHEN {self.ROW} = {address} THEN struct({', '.join(cols)}) END, true)"
-        rest = self._ckpt(
-            self.df.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
-            .observe(obs, F.expr(f"{picked} AS picked"))
-            .filter(f"{self.ROW} != {address}")
-            .selectExpr(*cols)
-        )
-        removed = self._picked(decision, len(sizes))
-        self._set_df(rest, [s - r for s, r in zip(sizes, removed)])
-        # the values and types of a to_pandas() row: every non-null value
-        # cast to its column's pandas dtype
-        item, empty = obs.get["picked"].asDict(), self._empty_items()
-        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
-        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
+        item = self.pending.extract_one(self._fetch)
+        self._changed()
+        return item
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:
         if not rows:
             return
-        if self.df is None:
+        if self.schema is None:
             raise RuntimeError("insert_rows into an uninitialized reservoir")
-        small = self._ckpt(
-            self.spark.createDataFrame(pd.DataFrame(rows), schema=self.df.schema)
-            .coalesce(1)  # single known partition: sizes stay exact
-        )
-        self._set_df(self._settled().unionByName(small), self.sizes + [len(rows)])
+        self.pending.insert_rows(rows)
+        self._changed()
 
     def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         """Saturated-regime hot path: m random victims in the reservoir
-        are replaced by m uniform items of the batch (Alg. 2 line 17).
-        One select pass over ``reservoir ∪ batch``, no shuffle."""
+        are replaced by m uniform items of the batch (Alg. 2 line 17), which
+        becomes a new piece."""
         if m <= 0:
             return
-        res_sizes = self.sizes
-        res_decision = self._choice(res_sizes, m)
-        ins_decision = self._choice(sizes, m)
-        # Batch partitions sit at ids offset by len(res_sizes) in the
-        # union — deterministic, so the driver can address them directly.
-        spec = self._spec(res_decision, res_sizes, "drop")
-        spec.update(self._spec(ins_decision, sizes, "keep", len(res_sizes)))
-        new_df = self._ckpt(self._select(self._settled().unionByName(batch_df), spec))
-        removed = self._picked(res_decision, len(res_sizes))
-        new_sizes = [s - r for s, r in zip(res_sizes, removed)]
-        new_sizes += self._picked(ins_decision, len(sizes))
-        self._set_df(new_df, new_sizes)
+        self.pending.replace_random(m, sizes)
+        self._add_piece(batch_df, len(sizes))
+        self._changed()
 
     def clear(self) -> None:
-        self._set_df(None, [])
+        self.pending.clear()
+        self.pieces = []
+        self._df = None
 
     def to_pandas(self) -> pd.DataFrame:
-        if self.df is not None:  # a pending keep is read as it stands
+        if self.df is not None:
             return self.df.toPandas()
         if self.schema is None:
             return pd.DataFrame()
@@ -353,7 +458,7 @@ class KVReservoir:
             schema=f"{self.ROW} long, {self.SLOT} long",
         )
         q = F.broadcast(q) if self.retrieval == "cj" else q.hint("shuffle_merge")
-        rows = batch_df.withColumn(self.ROW, F.monotonically_increasing_id())
+        rows = batch_df.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
         return rows.join(q, self.ROW).drop(self.ROW)
 
     # -- reservoir operations -----------------------------------------
@@ -382,9 +487,9 @@ class KVReservoir:
         if self.count == 0:
             return None
         slot = int(self.rng.choice(self.live_slots))
-        row = self.df.filter(F.col(self.SLOT) == slot).drop(self.SLOT).toPandas()
+        row = self.df.filter(f"{self.SLOT} = {slot}").drop(self.SLOT).toPandas()
         self.live_slots = self.live_slots[self.live_slots != slot]
-        self._materialize(self.df.filter(F.col(self.SLOT) != slot))
+        self._materialize(self.df.filter(f"{self.SLOT} != {slot}"))
         return dict(row.iloc[0])
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:

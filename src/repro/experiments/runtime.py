@@ -22,6 +22,11 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.distributed import DRTBS, DTTBS
 
 WARM_ROUNDS = 2  # unmeasured saturated rounds before the measured ones
+# Measured rounds: whole merge periods of the co-partitioned reservoir,
+# which adds a batch's P partitions per saturated round and merges when it
+# holds more than 4·P, so once every 4 rounds; a merge's cost is then
+# averaged over the rounds it serves.
+ROUNDS = 12
 
 # DRTBS keyword arguments per Fig. 7 label; D-T-TBS is its own class.
 IMPLS: dict[str, dict[str, str]] = {
@@ -55,7 +60,7 @@ def run_impl(
     batch_size: int,
     n: int,
     lam: float = 0.07,
-    rounds: int = 5,
+    rounds: int = ROUNDS,
     seed: int = 0,
 ) -> dict[str, float]:
     """Time ``rounds`` measured rounds of one implementation; returns
@@ -93,7 +98,7 @@ def run_figure7(
     batch_size: int = 50_000,
     n: int = 100_000,
     lam: float = 0.07,
-    rounds: int = 5,
+    rounds: int = ROUNDS,
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
     """Per-batch runtime of the five implementations (Fig. 7)."""
@@ -110,7 +115,7 @@ def run_figure9(
     *,
     batch_sizes=(10_000, 100_000, 500_000),
     lam: float = 0.07,
-    rounds: int = 3,
+    rounds: int = ROUNDS,
     seed: int = 0,
 ) -> dict[int, dict[str, float]]:
     """Scale-up of the best D-R-TBS (Dist-CP) with batch size (Fig. 9);

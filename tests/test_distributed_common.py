@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.distributed.common import (
+    addresses,
     central_positions,
     distributed_counts,
     partition_sizes,
@@ -184,6 +185,18 @@ class TestSelectRandomPerPartition:
         got = [len(keys) for keys in keys_by_partition(kept)]
         assert got == [cnt.get(pid, 0) for pid in range(len(sizes))]
 
+    def test_counts_rank_rows_left_after_exclusions(self, spark, df40):
+        """Excluded rows are dropped before the count ranks the rest: each
+        partition keeps exactly its count, none of them excluded."""
+        sizes = partition_sizes(df40)
+        excluded = {pid: np.array([0, size - 1]) for pid, size in enumerate(sizes) if size >= 3}
+        keys = keys_by_partition(df40)
+        gone = {keys[pid][o] for pid, offs in excluded.items() for o in offs}
+        spec = {pid: ("keep", sizes[pid] - 3) for pid in excluded}
+        kept = keys_by_partition(select(df40, spec, seed=0, round_no=3, exclude=addresses(excluded)))
+        assert [len(k) for k in kept] == [s - 3 if pid in excluded else s for pid, s in enumerate(sizes)]
+        assert not gone & {k for ks in kept for k in ks}
+
     def test_complementarity(self, spark, df40):
         sizes = partition_sizes(df40)
         cnt = distributed_counts(make_rng(6), sizes, 18)
@@ -242,8 +255,8 @@ class TestSelectOverUnion:
     def test_touches_only_addressed_partitions(self, df40, batch30, picks):
         """A select over ``reservoir ∪ batch`` addressed by union partition
         ids (batch partitions follow the reservoir's 4) changes exactly
-        those partitions, to the planned sizes: the evaluation-order
-        invariant the fused replace relies on."""
+        those partitions, to the planned sizes: the ids are those of the
+        frame the select is projected over."""
         assert len(partition_sizes(df40)) == 4
         union = df40.unionByName(batch30)
         before = keys_by_partition(union)

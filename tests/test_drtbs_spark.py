@@ -160,30 +160,18 @@ class TestEdgeCases:
 
 class TestPartitionSizes:
     @pytest.mark.parametrize("kw", VARIANTS[:2], ids=IDS[:2])
-    def test_sizes_exact_across_coalesces(self, spark, kw, monkeypatch):
-        """With one target partition the co-partitioned reservoir
-        coalesces whenever it holds more than 4 partitions. After every
-        round of a schedule that runs all four Alg. 2 branches, an empty
-        batch and a 2.5-unit gap, the driver's sizes are the partitions'
-        row counts, their sum is |A| = ⌊C⌋, and reading them runs no
-        Spark job."""
-        from repro.distributed import reservoir
-
-        sizings = []
-        orig = reservoir.partition_sizes
-
-        def counted(df):
-            sizings.append(df)
-            return orig(df)
-
-        # DRTBS.advance sizes each batch through the module attribute;
-        # every further call sizes a coalesced reservoir.
-        monkeypatch.setattr(reservoir, "partition_sizes", counted)
+    def test_sizes_exact_across_coalesces(self, spark, kw):
+        """With one target partition the co-partitioned reservoir merges
+        whenever it holds more than 4 partitions, which shows as a drop in
+        ``len(sizes)``. After every round of a schedule that runs all four
+        Alg. 2 branches, an empty batch and a 2.5-unit gap, the driver's
+        sizes are the partitions' row counts, their sum is |A| = ⌊C⌋, and
+        reading them runs no Spark job."""
         lam, n = 0.3, 20
         sched = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0),
                  (12, 1.0), (9, 1.0), (14, 1.0), (5, 1.0), (25, 1.0), (7, 1.0)]
         d = DRTBS(spark, lam, n, seed=8, target_partitions=1, **kw)
-        branches = set()
+        branches, n_parts = set(), []
         sc = spark.sparkContext
         for t, (b, dt) in enumerate(sched):
             saturated = d.total_weight >= n - 1e-9
@@ -204,11 +192,12 @@ class TestPartitionSizes:
             counted_rows = res.df.count() if res.df is not None else 0
             assert count == counted_rows == math.floor(d.sample_weight + 1e-9), (t, count)
             d.latent.check_invariants()
+            n_parts.append(len(sizes))
         sc._jsc.sc().listenerBus().waitUntilEmpty()
         for t in range(len(sched)):
             assert list(sc.statusTracker().getJobIdsForGroup(f"read-sizes-{t}")) == [], t
         assert branches == {"unsaturated", "overshoot", "undershoot", "saturated"}
-        assert len(sizings) > len(sched), "no coalesce"
+        assert any(b < a for a, b in zip(n_parts, n_parts[1:])), ("no merge", n_parts)
 
 
 class TestArrowOff:
@@ -269,9 +258,9 @@ def typed_batch(spark, size):
 
 
 class TestOnePassExtract:
-    """``extract_one`` on the co-partitioned reservoir: one Spark pass
-    that settles a pending keep, fetches the picked row and checkpoints
-    the rest."""
+    """``extract_one`` on the co-partitioned reservoir: one small Spark
+    job that fetches the picked row by its address in its piece, with a
+    keep still pending and no rewrite of the rest."""
 
     @staticmethod
     def filled(spark, strategy):
@@ -282,6 +271,8 @@ class TestOnePassExtract:
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_case3_downsample_is_one_job(self, spark, strategy):
+        """The keep only changes counts on the driver; the extract fetches
+        its row in one job."""
         R, source = self.filled(spark, strategy)
         R.extract_one()  # the first extract also learns the pandas dtypes
         sc = spark.sparkContext
@@ -294,14 +285,17 @@ class TestOnePassExtract:
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_extract_from_one_row_partition(self, spark, strategy):
-        """The row ``insert_rows`` puts back sits alone in its partition;
-        when it is the pick, it is returned and its partition emptied."""
+        """The row ``insert_rows`` puts back stays on the driver, alone in
+        the view's last partition; when it is the pick, it is returned
+        with no Spark job and its partition is gone."""
         R, source = self.filled(spark, strategy)
         row = R.extract_one()
         R.keep_random(0)
         R.insert_rows([row])
         assert R.sizes[-1] == 1 and R.count == 1
-        assert R.extract_one() == row
+        assert R.sizes == R.df.rdd.glom().map(len).collect()
+        item, jobs = jobs_in(spark.sparkContext, f"held-{strategy}", R.extract_one)
+        assert item == row and jobs == 0
         assert R.count == 0 and R.sizes == R.df.rdd.glom().map(len).collect()
         assert R.to_pandas().empty
 
@@ -329,14 +323,123 @@ class TestOnePassExtract:
         pd.testing.assert_frame_equal(got, want)
 
 
+def range_batch(spark, t, size, n_parts):
+    """A checkpointed ``t long, i long`` batch in ``n_parts`` partitions."""
+    return spark.range(0, size, 1, n_parts).selectExpr(f"CAST({t} AS long) AS t", "id AS i").localCheckpoint(eager=True)
+
+
+class TestPieces:
+    """The co-partitioned reservoir's rows stay in checkpointed pieces
+    between merges; the driver addresses a row by its partition and offset
+    in its own piece."""
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_single_partition_pieces_concatenate(self, spark, strategy):
+        """Pieces of one partition each — a merge to one partition, a
+        one-partition batch, the held rows — stay apart in the view, as
+        ``sizes`` has them, though Spark 4.1 would merge partition i of
+        every child of a union whose children all report one partition."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=0, target_partitions=1)
+        for t in range(3):
+            batch = range_batch(spark, t, 10, 2)
+            R.insert_all(batch, partition_sizes(batch))
+
+        def glom():
+            return R.df.rdd.glom().map(len).collect()
+
+        assert R.sizes == [30] == glom()
+        R.keep_random(20)
+        R.insert_rows([R.extract_one()])
+        assert R.sizes == [19, 1] == glom()
+        R.replace_random(5, range_batch(spark, 9, 10, 1), [10])
+        assert R.sizes == glom() and R.count == 20
+        rows = R.to_pandas()
+        assert len(rows) == 20 and (rows["t"] == 9).sum() == 5
+        assert not rows.duplicated().any()
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_extracts_across_pieces(self, spark, strategy):
+        """Rows extracted from three unmerged pieces, with keeps pending
+        between them, are the rows missing from the view, whose partitions
+        hold ``sizes`` rows."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=4, target_partitions=4)
+        source = []
+        for t, size in enumerate([30, 17, 25]):
+            batch = range_batch(spark, t, size, 4)
+            R.insert_all(batch, partition_sizes(batch))
+            source += [(t, i) for i in range(size)]
+        extracted = []
+        for k in [60, 50, 40]:
+            R.keep_random(k)
+            extracted += [R.extract_one() for _ in range(4)]
+        assert len(R.pieces) == 3, "merged"
+        rows = {(r.t, r.i) for r in R.to_pandas().itertuples()}
+        taken = {(r["t"], r["i"]) for r in extracted}
+        assert len(taken) == len(extracted) == 12 and not taken & rows
+        assert len(rows) == R.count == 36 and rows <= set(source)
+        assert R.sizes == R.df.rdd.glom().map(len).collect()
+
+
+class TestJobsPerRound:
+    """Spark jobs of Dist-CP D-R-TBS rounds, read from ``statusTracker``:
+    one to size a non-empty batch, one per extract whose row is stored in
+    a piece, and one more when the reservoir merges."""
+
+    def test_bursty_rounds(self, spark, monkeypatch):
+        from repro.distributed import reservoir
+
+        P, lam = 4, 0.07
+        cycle = [1353, 0, 960, 5687]  # saturated, undershoot, unsaturated, overshoot
+        n = math.floor(sum(cycle) / len(cycle) / (1 - math.exp(-lam)))
+        d = math.exp(-lam)
+        fill = round(sum(b * d ** (3 - i) for i, b in enumerate(cycle)) / (1 - d**4))
+        sizings, fetches, merges = [], [], []
+        sizes_of = reservoir.partition_sizes
+        monkeypatch.setattr(reservoir, "partition_sizes", lambda df: sizings.append(df) or sizes_of(df))
+        sampler = DRTBS(spark, lam, n, seed=5, storage="cp", strategy="dist", target_partitions=P)
+        sampler.advance(range_batch(spark, 0, fill, P))
+        res = sampler.reservoir
+        fetch, merge = res._fetch, res._merge
+        monkeypatch.setattr(res, "_fetch", lambda *a: fetches.append(a) or fetch(*a))
+        monkeypatch.setattr(res, "_merge", lambda: merges.append(1) or merge())
+        sc = spark.sparkContext
+        empty = range_batch(spark, 0, 0, P)
+        for t, b in enumerate(cycle * 3 + [0] * 50, start=1):
+            batch = range_batch(spark, t, b, P) if b else empty
+            counted = len(sizings), len(fetches), len(merges)
+            _, jobs = jobs_in(sc, f"bursty-{t}", lambda: sampler.advance(batch))
+            sized, fetched, merged = (len(x) - c for x, c in zip((sizings, fetches, merges), counted))
+            assert sized == 1 and merged <= 1, (t, sized, merged)
+            assert jobs == (b > 0) + fetched + merged, (t, b, jobs, fetched, merged)
+            rows = sizes_of(res.df)  # glom() lengths, counted in the JVM
+            assert res.sizes == rows and sum(rows) == math.floor(sampler.sample_weight + 1e-9), t
+            assert len(res.sizes) <= 4 * P + P, (t, res.sizes)
+            assert sum(map(len, res.pending.excluded)) <= 64, t
+        assert len(merges) >= 3, "a cycle without a merge"
+
+    def test_excluded_addresses_merge_at_64(self, spark):
+        """The 64th extract of a stored row merges the reservoir, in one
+        more job, so ``select`` always lists its exclusions inline."""
+        R = CoPartitionedReservoir(spark, strategy="dist", seed=1, target_partitions=2)
+        batch = range_batch(spark, 0, 200, 2)
+        R.insert_all(batch, partition_sizes(batch))
+        R.extract_one()  # the first extract also learns the pandas dtypes
+        sc = spark.sparkContext
+        for k in range(2, 65):
+            _, jobs = jobs_in(sc, f"cap-{k}", R.extract_one)
+            excluded = sum(map(len, R.pending.excluded))
+            assert (jobs, excluded) == ((1, k) if k < 64 else (2, 0)), k
+        assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 136
+
+
 class TestNoCallSiteCapture:
     """PySpark 4.1 records the Python call site of every ``Column`` method
     call, importing IPython on the way (about 25 MB of the driver's
-    Python memory). Every co-partitioned pass builds its expressions as
-    SQL strings, so no round calls it."""
+    Python memory). Every pass of both reservoirs builds its expressions
+    as SQL strings, so no round calls it."""
 
-    @pytest.mark.parametrize("strategy", ["dist", "cent"])
-    def test_rounds_capture_no_call_site(self, spark, strategy, monkeypatch):
+    @pytest.mark.parametrize("kw", VARIANTS, ids=["dist", "cent", "kv-cj", "kv-rj"])
+    def test_rounds_capture_no_call_site(self, spark, kw, monkeypatch):
         from pyspark.errors import utils
         from pyspark.sql import functions as F
 
@@ -351,7 +454,7 @@ class TestNoCallSiteCapture:
         lam, n = 0.3, 20
         sched = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0),
                  (12, 1.0), (9, 1.0), (14, 1.0), (5, 1.0)]
-        d = DRTBS(spark, lam, n, seed=8, storage="cp", strategy=strategy, target_partitions=1)
+        d = DRTBS(spark, lam, n, seed=8, target_partitions=1, **kw)
         branches = set()
         for t, (b, dt) in enumerate(sched):
             saturated = d.total_weight >= n - 1e-9
