@@ -33,13 +33,16 @@ Two decision strategies from the paper:
   each row its partition's bitmap of picked offsets (many).
 * **Distributed** — the master samples only a per-partition *count*
   vector from the multivariate hypergeometric law; each partition orders
-  its rows by ``rand(s)`` and picks its first ``count`` rows. Spark seeds
-  partition ``i``'s stream with ``s + i``, so ``s`` is derived from
-  (seed, round) through a ``SeedSequence`` rather than as ``seed +
-  round``, which would give round ``r``'s partition ``i + 1`` the stream
-  of round ``r + 1``'s partition ``i`` (the paper cites jump-ahead PRNGs
-  [20] for the same guarantee). D-T-TBS's ``DataFrame.sample`` seeds are
-  derived the same way.
+  its rows by ``rand(s)`` and picks its first ``count`` rows. The
+  ``rand`` values are drawn over the frame's own rows before any excluded
+  row is dropped (``in_order``), so an exclusion never reorders the rest
+  and the co-partitioned reservoir's later picks nest in its earlier
+  ones. Spark seeds partition ``i``'s stream with ``s + i``, so ``s`` is
+  derived from (seed, round) through a ``SeedSequence`` rather than as
+  ``seed + round``, which would give round ``r``'s partition ``i + 1``
+  the stream of round ``r + 1``'s partition ``i`` (the paper cites
+  jump-ahead PRNGs [20] for the same guarantee). D-T-TBS's
+  ``DataFrame.sample`` seeds are derived the same way.
 """
 from __future__ import annotations
 
@@ -52,8 +55,9 @@ from pyspark.sql import functions as F
 
 from repro.rng import multivariate_hypergeometric_split
 
-_ROW = "__row"  # row address (pid << 33) + offset, before any reordering
-_RANK = "__rank"  # the same after ordering each partition by rand(s)
+ROW = "__row"  # row address (pid << 33) + offset, before any reordering
+RANK = "__rank"  # the same after ordering each partition by rand(s)
+RAND = "__rand"  # the rand(s) value that orders a partition
 _PID = "__pid"
 _BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
 _PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
@@ -155,6 +159,37 @@ def _rand_seed(seed: int, round_no: int) -> int:
     return int(state[0] >> np.uint64(1))
 
 
+def _without(df: DataFrame, exclude: Sequence[int]) -> DataFrame:
+    """``df`` less the rows whose ``ROW`` is in ``exclude`` (a few,
+    listed inline)."""
+    if not len(exclude):
+        return df
+    return df.filter(f"{ROW} NOT IN ({', '.join(map(str, exclude))})")
+
+
+def in_order(
+    df: DataFrame, *, seed: int, round_no: int, exclude: Sequence[int] = ()
+) -> DataFrame:
+    """``df`` with every row's address ``ROW`` and the ``rand(s)`` value
+    ``RAND`` that orders its partition, ``s`` drawn from (seed, round_no),
+    less the rows at the addresses in ``exclude`` (a few, listed inline).
+    Both are drawn over ``df``'s own rows, before any row is dropped, so
+    the rows left keep their order whatever is excluded."""
+    out = df.selectExpr(
+        "*", f"monotonically_increasing_id() AS {ROW}", f"rand({_rand_seed(seed, round_no)}) AS {RAND}"
+    )
+    return _without(out, exclude)
+
+
+def ranked(
+    df: DataFrame, *, seed: int, round_no: int, exclude: Sequence[int] = ()
+) -> DataFrame:
+    """``in_order(df)`` with ``RANK``, every row's address once each
+    partition is sorted by ``RAND``."""
+    out = in_order(df, seed=seed, round_no=round_no, exclude=exclude)
+    return out.sortWithinPartitions(F.expr(RAND)).selectExpr("*", f"monotonically_increasing_id() AS {RANK}")
+
+
 def select(
     df: DataFrame,
     spec: Mapping[int, tuple[str, object]],
@@ -168,16 +203,20 @@ def select(
     ``spec[pid] = (mode, payload)`` with mode ``"keep"``/``"drop"`` and
     payload either an offset array (centralized decisions) or an int
     count (distributed decisions: the partition's first ``count`` rows
-    in the order of ``rand(s)``, ``s`` drawn from (seed, round_no), so
-    the same (seed, round) picks the same rows). Partitions absent from
-    the spec pass through unchanged. The rows at the addresses in
-    ``exclude`` (a few, listed inline) are dropped first, so a count
-    ranks only the rows left. One pass, no shuffle.
+    in the order of ``in_order``, so the same (seed, round) picks the same
+    rows). Partitions absent from the spec pass through unchanged. The
+    rows at the addresses in ``exclude`` (a few, listed inline) are
+    dropped first, so a count ranks only the rows left. One pass, no
+    shuffle.
     """
     cols = df.columns
-    out = df.withColumn(_ROW, F.monotonically_increasing_id())
-    if len(exclude):
-        out = out.filter(f"{_ROW} NOT IN ({', '.join(map(str, exclude))})")
+    counts = {
+        pid: int(p) for pid, (_m, p) in spec.items() if isinstance(p, (int, np.integer))
+    }
+    if any(counts.values()):
+        out = ranked(df, seed=seed, round_no=round_no, exclude=exclude)
+    else:
+        out = _without(df.withColumn(ROW, F.monotonically_increasing_id()), exclude)
     offset_mask = (1 << _PID_SHIFT) - 1
     offsets = {
         pid: np.asarray(p, dtype=np.int64)
@@ -192,25 +231,19 @@ def select(
             pd.DataFrame({_PID: list(offsets), _BITMAP: list(map(_bitmap, offsets.values()))}),
             schema=f"{_PID} int, {_BITMAP} array<bigint>",
         )
-        out = out.withColumn(_PID, F.expr(f"int(shiftright({_ROW}, {_PID_SHIFT}))"))
+        out = out.withColumn(_PID, F.expr(f"int(shiftright({ROW}, {_PID_SHIFT}))"))
         out = out.join(F.broadcast(bitmaps), _PID, "left")
-        offset = f"({_ROW} & {offset_mask})"
+        offset = f"({ROW} & {offset_mask})"
         word = f"try_element_at({_BITMAP}, int(shiftright({offset}, 6)) + 1)"
         at_address = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
     elif n_addresses:
-        at_address = f"{_ROW} IN ({', '.join(map(str, addresses(offsets)))})"
-    counts = {
-        pid: int(p) for pid, (_m, p) in spec.items() if isinstance(p, (int, np.integer))
-    }
-    if any(counts.values()):
-        out = out.sortWithinPartitions(F.rand(_rand_seed(seed, round_no)))
-        out = out.withColumn(_RANK, F.monotonically_increasing_id())
+        at_address = f"{ROW} IN ({', '.join(map(str, addresses(offsets)))})"
     cases = []
     for pid, (mode, p) in sorted(spec.items()):
         if pid in offsets:
             picked_row = at_address
         elif counts.get(pid):
-            picked_row = f"({_RANK} & {offset_mask}) < {counts[pid]}"
+            picked_row = f"({RANK} & {offset_mask}) < {counts[pid]}"
         else:
             picked_row = "false"
         cases.append(
@@ -218,6 +251,6 @@ def select(
         )
     if cases:
         out = out.filter(
-            f"CASE shiftright({_ROW}, {_PID_SHIFT}) {' '.join(cases)} ELSE true END"
+            f"CASE shiftright({ROW}, {_PID_SHIFT}) {' '.join(cases)} ELSE true END"
         )
     return out.select(*cols)

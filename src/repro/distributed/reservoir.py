@@ -46,10 +46,13 @@ from pyspark.sql import functions as F
 
 from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches through it
     INLINE_ADDRESSES,
+    RAND,
+    ROW,
     addresses,
     central_positions,
     distributed_counts,
     partition_sizes,
+    in_order,
     position_spec,
     select,
 )
@@ -62,25 +65,40 @@ class PendingDecisions:
 
     The items are rows of stored partitions ``0 .. len(stored) - 1``
     (``stored[j]`` rows each, addressed by offset) and the driver-held
-    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items: a
-    uniform ``keep[j]``-subset of its rows whose offsets are not in
-    ``excluded[j]``, drawn only when the reservoir merges. The reservoir
-    operations change only these counts, exclusions and held rows, with
-    draws from ``rng``, and give ``(A, π)`` the law a ``ListReservoir``
-    gives it: a uniform subset of a uniform subset is a uniform subset,
-    and a uniform member of a uniform k-subset of a partition's eligible
-    rows is uniform over those rows, the other k − 1 a uniform subset of
-    the rest.
+    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items, and
+    ``excluded[j]`` lists the offsets of the rows ``extract_one`` took
+    from it. Which rows are the items depends on the decision strategy:
+
+    * distributed: the first ``keep[j]`` rows not excluded, in an order of
+      the partition's rows drawn at random when it was stored (Spark's
+      ``rand`` over its piece, ``common.in_order``);
+    * centralized: the rows at the offsets ``offsets(j)``, drawn on the
+      driver (every row until a decision touches the partition).
+
+    The reservoir operations change only these, with draws from ``rng``
+    through ``distributed_counts`` or ``central_positions``. A keep keeps
+    some of the items and an extract takes one of them, so the items after
+    an operation are some of the items before it plus the rows it adds: a
+    view realized between merges is never contradicted later. ``(A, π)``
+    has the law a ``ListReservoir`` gives it: the first k rows of a uniform
+    order are a uniform k-subset, and given that subset, the order within
+    it is still uniform, so its first row is a uniform member of it and
+    the rest a uniform subset; a uniform subset of a uniform subset is a
+    uniform subset.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, strategy: str = "dist"):
+        if strategy not in ("cent", "dist"):
+            raise ValueError(f"unknown decision strategy {strategy!r}")
         self.rng = rng
+        self.strategy = strategy
         self.clear()
 
     def clear(self) -> None:
         self.stored: list[int] = []
         self.keep: list[int] = []
         self.excluded: list[list[int]] = []  # sorted offsets, per stored partition
+        self.kept: list[np.ndarray | None] = []  # centralized: offsets(j), None for all
         self.held: list[Any] = []
 
     @property
@@ -100,37 +118,89 @@ class PendingDecisions:
         n_excluded = sum(map(len, self.excluded))
         return len(self.sizes) > max_partitions or n_excluded >= INLINE_ADDRESSES
 
-    def add(self, sizes: Sequence[int], keep: Sequence[int]) -> None:
-        """Store new partitions of ``sizes`` rows, ``keep`` of them items."""
+    def offsets(self, j: int) -> np.ndarray:
+        """Centralized: the offsets of stored partition j's items."""
+        kept = self.kept[j]
+        return np.arange(self.stored[j]) if kept is None else kept
+
+    def add(self, sizes: Sequence[int], picks: Sequence[Any] | None = None) -> None:
+        """Store new partitions of ``sizes`` rows; the items are the rows
+        ``picks`` (a ``_draw`` over ``sizes``) names, or all of them."""
+        if picks is None:
+            self.keep += list(sizes)
+            self.kept += [None] * len(sizes)
+        elif self.strategy == "dist":
+            self.keep += list(picks)
+            self.kept += [None] * len(sizes)
+        else:
+            self.keep += [len(p) for p in picks]
+            self.kept += list(picks)
         self.stored += list(sizes)
-        self.keep += list(keep)
         self.excluded += [[] for _ in sizes]
 
     def merged(self, sizes: Sequence[int]) -> None:
         """The items were rewritten into partitions of ``sizes`` rows."""
         self.clear()
-        self.add(sizes, sizes)
+        self.add(sizes)
 
-    def _counts(self, sizes: Sequence[int], k: int) -> list[int]:
-        """How many of k uniform picks fall in each partition."""
-        counts = distributed_counts(self.rng, sizes, k)
-        return [counts.get(pid, 0) for pid in range(len(sizes))]
+    def _draw(self, sizes: Sequence[int], k: int) -> list[Any]:
+        """k uniform picks over partitions of ``sizes`` items: how many fall
+        in each (distributed), or which of each one's items (centralized,
+        sorted indices)."""
+        if self.strategy == "dist":
+            counts = distributed_counts(self.rng, sizes, k)
+            return [counts.get(pid, 0) for pid in range(len(sizes))]
+        positions = central_positions(self.rng, sizes, k)
+        return [positions.get(pid, np.empty(0, dtype=np.int64)) for pid in range(len(sizes))]
 
-    def _take(self, counts: list[int]) -> None:
-        """Keep ``counts[j]`` items of every partition: a count for a stored
-        one, a uniform subset of the held rows."""
+    def _rest(self, picks: list[Any]) -> list[Any]:
+        """The items of every partition that ``picks`` does not name."""
+        if self.strategy == "dist":
+            return [size - c for size, c in zip(self.sizes, picks)]
+        return [np.setdiff1d(np.arange(size), idx) for size, idx in zip(self.sizes, picks)]
+
+    def _take(self, picks: list[Any]) -> None:
+        """Keep the items ``picks`` names: a stored partition's first ones
+        in its order (distributed) or those at the given indices
+        (centralized), a uniform subset of the held rows."""
         n_stored = len(self.keep)
-        self.keep = counts[:n_stored]
-        if self.held and counts[n_stored] < len(self.held):
-            self.held = sample_without_replacement(self.rng, self.held, counts[n_stored])
+        if self.strategy == "dist":
+            self.keep = picks[:n_stored]
+            if self.held and picks[n_stored] < len(self.held):
+                self.held = sample_without_replacement(self.rng, self.held, picks[n_stored])
+            return
+        for j, idx in enumerate(picks[:n_stored]):
+            if len(idx) < self.keep[j]:
+                self.kept[j], self.keep[j] = self.offsets(j)[idx], len(idx)
+        if self.held:
+            self.held = [self.held[i] for i in picks[n_stored]]
 
     def keep_random(self, k: int) -> None:
-        self._take(self._counts(self.sizes, k))
+        self._take(self._draw(self.sizes, k))
 
-    def extract_one(self, fetch: Callable[[int, int], Any]) -> Any:
+    def _offset(self, pid: int, index: int) -> int | None:
+        """The offset of an item of stored partition ``pid`` drawn by the
+        uniform ``index``, or None for the first item in the partition's
+        order (distributed, a keep pending on the partition: only that
+        order says which rows are items)."""
+        if self.strategy == "cent":
+            return int(self.offsets(pid)[index])
+        excluded = self.excluded[pid]
+        if self.keep[pid] < self.stored[pid] - len(excluded):
+            return None
+        offset = index
+        for e in excluded:  # every row not excluded is an item
+            if e > offset:
+                break
+            offset += 1
+        return offset
+
+    def extract_one(self, fetch: Callable[[int, int | None], tuple[Any, int]]) -> Any:
         """Remove and return a uniform item: a partition drawn in proportion
-        to its items, then a uniform row of it. A stored row is set aside
-        and read by ``fetch(partition, offset)``."""
+        to its items, then a uniform item of it. A stored row is read by
+        ``fetch(partition, offset)``, which returns it and its offset
+        (``offset`` None: the partition's first item in its order). It is
+        then set aside."""
         slot = int(self.rng.integers(self.count))
         for pid, size in enumerate(self.sizes):
             if slot < size:
@@ -138,15 +208,12 @@ class PendingDecisions:
             slot -= size
         if pid == len(self.keep):
             return self.held.pop(slot)
-        excluded = self.excluded[pid]
-        offset = int(self.rng.integers(self.stored[pid] - len(excluded)))
-        for e in excluded:  # the offset-th row not excluded
-            if e > offset:
-                break
-            offset += 1
-        bisect.insort(excluded, offset)
+        item, offset = fetch(pid, self._offset(pid, slot))
+        if self.strategy == "cent":
+            self.kept[pid] = np.delete(self.offsets(pid), slot)
+        bisect.insort(self.excluded[pid], offset)
         self.keep[pid] -= 1
-        return fetch(pid, offset)
+        return item
 
     def insert_rows(self, rows: Sequence[Any]) -> None:
         self.held += list(rows)
@@ -154,45 +221,168 @@ class PendingDecisions:
     def replace_random(self, m: int, sizes: Sequence[int]) -> None:
         """m uniform victims leave; m uniform rows of a batch of ``sizes``,
         stored as new partitions, come in."""
-        victims = self._counts(self.sizes, m)
-        self._take([c - v for c, v in zip(self.sizes, victims)])
-        self.add(sizes, self._counts(sizes, m))
+        self._take(self._rest(self._draw(self.sizes, m)))
+        self.add(sizes, self._draw(sizes, m))
+
+
+class SparkPieces:
+    """The co-partitioned reservoir's rows in Spark: checkpointed frames,
+    the *pieces*, in partition order (the last merge and every batch
+    since), which no operation rewrites. Given the driver's
+    ``PendingDecisions``, it realizes the items as a lazy view, fetches one
+    of them, or merges them into one new piece."""
+
+    def __init__(self, spark: SparkSession, *, seed: int):
+        self.spark = spark
+        self.seed = seed
+        self.op = 0  # monotone piece counter: seeds each piece's rand order
+        self.frames: list[tuple[DataFrame, int, int]] = []  # (frame, partitions, op)
+        self.schema = None  # the batches' schema, kept across clear()
+        self._guard: DataFrame | None = None  # zero partitions, first in unions
+        self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
+
+    def clear(self) -> None:
+        self.frames = []
+
+    def add(self, frame: DataFrame, sizes: Sequence[int]) -> None:
+        """Append a checkpointed frame whose partitions hold ``sizes`` rows."""
+        if self.schema is None:
+            self.schema = frame.schema
+            self._guard = frame.limit(0).localCheckpoint(eager=False)
+        self.op += 1
+        self.frames.append((frame, len(sizes), self.op))
+
+    def view(self, pending: PendingDecisions) -> DataFrame | None:
+        """The items as a lazy frame whose partitions hold
+        ``pending.sizes`` rows: every piece with its pending decisions
+        applied, then the driver-held rows."""
+        if not self.frames and not pending.held:
+            return None
+        parts, first = [self._guard], 0
+        for frame, n_parts, op in self.frames:
+            parts.append(self._apply(pending, frame, first, n_parts, op))
+            first += n_parts
+        if pending.held:
+            held = pd.DataFrame(pending.held, columns=self.schema.names)
+            parts.append(self.spark.createDataFrame(held, schema=self.schema).coalesce(1))
+        return functools.reduce(DataFrame.unionByName, parts)
+
+    def _apply(
+        self, pending: PendingDecisions, frame: DataFrame, first: int, n_parts: int, op: int
+    ) -> DataFrame:
+        """A piece (partitions ``first ..``) with its pending decisions
+        applied: one ``select`` over the checkpointed frame."""
+        spec, excluded = {}, {}
+        for pid in range(n_parts):
+            j = first + pid
+            stored, keep, ex = pending.stored[j], pending.keep[j], pending.excluded[j]
+            if keep == stored:
+                continue
+            if pending.strategy == "cent":
+                spec[pid] = position_spec({0: pending.offsets(j)}, [stored], "keep")[0]
+                continue
+            excluded[pid] = ex
+            if keep < stored - len(ex):
+                spec[pid] = ("keep", keep)
+        if not spec and not excluded:
+            return frame
+        return select(frame, spec, seed=self.seed, round_no=op, exclude=addresses(excluded))
+
+    def fetch(
+        self, pending: PendingDecisions, pid: int, offset: int | None
+    ) -> tuple[dict[str, Any], int]:
+        """The row at ``offset`` of stored partition ``pid`` or, if that is
+        None, its first row not excluded in the piece's ``rand`` order,
+        with the values and types of a ``to_pandas()`` row, and its
+        offset. One Spark job over the piece, a filter on the address or a
+        top-1 (the first fetch adds one to learn the pandas dtypes)."""
+        excluded, stored = pending.excluded[pid], pending.stored[pid]
+        for frame, n_parts, op in self.frames:
+            if pid < n_parts:
+                break
+            pid -= n_parts
+        else:
+            raise IndexError(pid)
+        base = int(addresses({pid: [0]})[0])
+        if offset is None:
+            rows = in_order(frame, seed=self.seed, round_no=op, exclude=addresses({pid: excluded}))
+            rows = rows.filter(f"{ROW} >= {base} AND {ROW} < {base + stored}")
+            rows = rows.orderBy(F.expr(RAND)).limit(1)
+        else:
+            rows = frame.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
+            rows = rows.filter(f"{ROW} = {base + offset}")
+        (row,) = rows.selectExpr(*[f"`{c}`" for c in frame.columns], ROW).collect()
+        # every non-null value cast to its column's pandas dtype
+        item, empty = row.asDict(), self._empty_items()
+        offset = int(item.pop(ROW)) - base
+        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
+        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0]), offset
+
+    def merge(self, view: DataFrame, P: int) -> list[int]:
+        """Rewrite the items into one piece of at most ``P`` partitions in
+        one pass, sized by ``observe`` counts over the merged partitions."""
+        obs = Observation()
+        counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(P)]
+        merged = view.coalesce(P).observe(obs, *counts).localCheckpoint(eager=True)
+        metrics = obs.get
+        sizes = [int(metrics[f"p{pid}"]) for pid in range(merged.rdd.getNumPartitions())]
+        self.frames = []
+        self.add(merged, sizes)
+        return sizes
+
+    def _empty_items(self) -> pd.DataFrame:
+        """An empty reservoir's items, with the columns and pandas dtypes
+        of ``to_pandas()``: one Spark job, then none."""
+        if self._empty is None:
+            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
+        return self._empty
+
+    def to_pandas(self, view: DataFrame | None) -> pd.DataFrame:
+        if view is not None:
+            return view.toPandas()
+        if self.schema is None:
+            return pd.DataFrame()
+        return self._empty_items().copy()
 
 
 class CoPartitionedReservoir:
     """Reservoir co-partitioned with incoming batches (Fig. 5(b)).
 
-    The rows live in checkpointed *pieces* — the last merge and every
-    batch since — which no operation rewrites. Reservoir partitions
-    coincide with the pieces' partitions (the automatic co-partitioning
-    of Sec. 5.2), and the driver's ``PendingDecisions`` say which of their
-    rows are items: a keep count per partition, the addresses
-    ``extract_one`` set aside, and the rows ``insert_rows`` put back,
-    which stay on the driver. ``sizes`` (items per partition) and
-    ``count`` are read there, with no Spark job.
+    The rows live in checkpointed *pieces* (``SparkPieces``) — the last
+    merge and every batch since — which no operation rewrites. Reservoir
+    partitions coincide with the pieces' partitions (the automatic
+    co-partitioning of Sec. 5.2), and the driver's ``PendingDecisions``
+    say which of their rows are items: per partition, a keep count over a
+    random order of its rows (distributed decisions) or the kept offsets
+    (centralized), the addresses ``extract_one`` set aside, and the rows
+    ``insert_rows`` put back, which stay on the driver. ``sizes`` (items
+    per partition) and ``count`` are read there, with no Spark job. An
+    operation only drops items or adds rows, so every view of the items
+    between merges agrees with the ones before it.
 
     Spark jobs, as measured: ``keep_random``, ``insert_rows``, and
     ``insert_all`` and ``replace_random`` given a batch the caller sized
     (``DRTBS.advance`` sizes it in one job), run none; ``extract_one``
-    runs 1, a filter on the picked row's address over its piece (the
-    first adds 1 to learn the pandas dtypes of an item), or none when the
-    pick is a driver-held row. The reservoir *merges* when it has
-    more than ``4·P`` partitions or 64 excluded addresses (the ones
-    ``select`` lists inline): one pass (1 job; Cent-CP adds 1 to
-    broadcast its offset bitmaps) drops the excluded rows, applies the keep
-    counts, unions the held rows, ``coalesce``-s to ``P`` partitions,
-    reads their sizes through ``DataFrame.observe`` and checkpoints.
-    Distributed decisions keep each partition's first rows in ``rand``
-    order; centralized ones keep offsets drawn on the driver from a stream
-    seeded by the piece, so ``df`` — the lazy view of the items that a
-    merge checkpoints — is the same frame however often it is built.
+    runs 1 over the picked row's partition — a filter on its address, or,
+    for a distributed partition with a keep pending, a top-1 of its
+    ``rand`` order — or none when the pick is a driver-held row (the first
+    extract adds 1 to learn the pandas dtypes of an item). The reservoir
+    *merges* when it has more than ``4·P`` partitions or 64 excluded
+    addresses (the ones ``select`` lists inline): one pass (1 job;
+    Cent-CP adds 1 to broadcast its offset bitmaps) drops the excluded
+    rows, applies the pending decisions, unions the held rows,
+    ``coalesce``-s to ``P`` partitions, reads their sizes through
+    ``DataFrame.observe`` and checkpoints. ``df`` is the lazy view of the
+    items that a merge checkpoints.
 
-    CRITICAL evaluation-order invariant: ``spark_partition_id()`` and
-    ``monotonically_increasing_id()`` take the partition index of the plan
-    they are evaluated over. Every row address (``select``, the fetch) is
-    therefore projected directly over one checkpointed piece, whose
-    partitions and offsets the driver counted, and every union and the
-    merge's ``coalesce`` sit above those projections. Unions put a
+    CRITICAL evaluation-order invariants: ``spark_partition_id()``,
+    ``monotonically_increasing_id()`` and ``rand`` take the partition index
+    of the plan they are evaluated over, and ``rand`` advances once per
+    row it is evaluated on. Every row address and every piece's ``rand``
+    order (``select``, the fetch) is therefore projected directly over one
+    checkpointed piece, whose partitions and offsets the driver counted,
+    before any row is dropped (``common.in_order``); every filter, union and
+    the merge's ``coalesce`` sit above those projections. Unions put a
     zero-partition frame first: Spark 4.1 merges partition i of every
     child when all of them report a single partition
     (``spark.sql.unionOutputPartitioning``), and one child that does not
@@ -205,31 +395,23 @@ class CoPartitionedReservoir:
     ``filter``), never a ``Column`` method or ``F.col``: PySpark records
     the Python call site of each such call, which imports IPython into
     the driver.
-    """
 
-    ROW = "__row"  # a row's address, monotonically_increasing_id()
+    ``pieces`` replaces the Spark store with any object of
+    ``SparkPieces``'s methods, so the composition can run without Spark.
+    """
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark: SparkSession | None,
         *,
         strategy: str = "dist",
         seed: int = 0,
         target_partitions: int | None = None,
+        pieces: Any = None,
     ):
-        if strategy not in ("cent", "dist"):
-            raise ValueError(f"unknown decision strategy {strategy!r}")
-        self.spark = spark
-        self.strategy = strategy
-        self.seed = seed
-        self.op = 0  # monotone piece counter: seeds each piece's rand order
-        self.pending = PendingDecisions(make_rng(seed))
-        # checkpointed frames in partition order: (frame, partitions, op)
-        self.pieces: list[tuple[DataFrame, int, int]] = []
-        self.schema = None  # the batches' schema, kept across clear()
-        self._guard: DataFrame | None = None  # zero partitions, first in unions
-        self._df: DataFrame | None = None  # the view, until the items change
-        self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
+        self.pending = PendingDecisions(make_rng(seed), strategy)
+        self.pieces = pieces if pieces is not None else SparkPieces(spark, seed=seed)
+        self._df: Any = None  # the view, until the items change
         self.P = target_partitions or spark.sparkContext.defaultParallelism
 
     @property
@@ -242,71 +424,10 @@ class CoPartitionedReservoir:
 
     @property
     def df(self) -> DataFrame | None:
-        """The items as a lazy frame whose partitions hold ``sizes`` rows:
-        every piece with its pending decisions applied, then the
-        driver-held rows."""
-        if self._df is None and (self.pieces or self.pending.held):
-            parts, first = [self._guard], 0
-            for frame, n_parts, op in self.pieces:
-                parts.append(self._apply(frame, first, n_parts, op))
-                first += n_parts
-            if self.pending.held:
-                held = pd.DataFrame(self.pending.held, columns=self.schema.names)
-                parts.append(self.spark.createDataFrame(held, schema=self.schema).coalesce(1))
-            self._df = functools.reduce(DataFrame.unionByName, parts)
+        """The items as a lazy frame whose partitions hold ``sizes`` rows."""
+        if self._df is None:
+            self._df = self.pieces.view(self.pending)
         return self._df
-
-    # -- bookkeeping ---------------------------------------------------
-    def _apply(self, frame: DataFrame, first: int, n_parts: int, op: int) -> DataFrame:
-        """A piece (partitions ``first ..``) with its pending decisions
-        applied: one ``select`` over the checkpointed frame."""
-        pend = self.pending
-        spec, excluded = {}, {}
-        gen = np.random.default_rng([self.seed, op]) if self.strategy == "cent" else None
-        for pid in range(n_parts):
-            stored, keep, ex = pend.stored[first + pid], pend.keep[first + pid], pend.excluded[first + pid]
-            if keep == stored:
-                continue
-            if gen is not None:
-                eligible = np.setdiff1d(np.arange(stored), ex)
-                if keep < len(eligible):
-                    eligible = np.sort(gen.choice(eligible, keep, replace=False))
-                spec[pid] = position_spec({0: eligible}, [stored], "keep")[0]
-            else:
-                excluded[pid] = ex
-                if keep < stored - len(ex):
-                    spec[pid] = ("keep", keep)
-        if not spec and not excluded:
-            return frame
-        return select(frame, spec, seed=self.seed, round_no=op, exclude=addresses(excluded))
-
-    def _fetch(self, pid: int, offset: int) -> dict[str, Any]:
-        """The row at ``offset`` of stored partition ``pid``, with the
-        values and types of a ``to_pandas()`` row: one Spark job over its
-        piece (the first fetch adds one to learn the pandas dtypes)."""
-        for frame, n_parts, _ in self.pieces:
-            if pid < n_parts:
-                break
-            pid -= n_parts
-        (address,) = addresses({pid: [offset]})
-        cols = [f"`{c}`" for c in frame.columns]
-        (row,) = (
-            frame.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
-            .filter(f"{self.ROW} = {address}")
-            .selectExpr(*cols)
-            .collect()
-        )
-        # every non-null value cast to its column's pandas dtype
-        item, empty = row.asDict(), self._empty_items()
-        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
-        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
-
-    def _add_piece(self, frame: DataFrame, n_parts: int) -> None:
-        if self.schema is None:
-            self.schema = frame.schema
-            self._guard = frame.limit(0).localCheckpoint(eager=False)
-        self.op += 1
-        self.pieces.append((frame, n_parts, self.op))
 
     def _changed(self) -> None:
         """Drop the stale view; merge if the reservoir is due."""
@@ -315,33 +436,18 @@ class CoPartitionedReservoir:
             self._merge()
 
     def _merge(self) -> None:
-        """Rewrite the items into ``P`` checkpointed partitions in one
-        pass, sized by ``observe`` counts over the merged partitions."""
-        obs = Observation()
-        counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(self.P)]
-        merged = self.df.coalesce(self.P).observe(obs, *counts).localCheckpoint(eager=True)
-        metrics = obs.get
-        sizes = [int(metrics[f"p{pid}"]) for pid in range(merged.rdd.getNumPartitions())]
+        sizes = self.pieces.merge(self.df, self.P)
         if sum(sizes) != self.count:
             raise AssertionError(f"merge of {self.count} items holds {sum(sizes)}")
-        self.pieces = []
-        self._add_piece(merged, len(sizes))
         self.pending.merged(sizes)
         self._df = None
-
-    def _empty_items(self) -> pd.DataFrame:
-        """An empty reservoir's items, with the columns and pandas dtypes
-        of ``to_pandas()``: one Spark job, then none."""
-        if self._empty is None:
-            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
-        return self._empty
 
     # -- reservoir operations -----------------------------------------
     def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:
         """Append the whole batch, a checkpointed frame whose per-partition
         ``sizes`` the caller measured, as a new piece."""
-        self.pending.add(sizes, sizes)
-        self._add_piece(batch_df, len(sizes))
+        self.pending.add(sizes)
+        self.pieces.add(batch_df, sizes)
         self._changed()
 
     def keep_random(self, k: int) -> None:
@@ -356,14 +462,14 @@ class CoPartitionedReservoir:
         sample's partial-item moves)."""
         if self.count == 0:
             return None
-        item = self.pending.extract_one(self._fetch)
+        item = self.pending.extract_one(functools.partial(self.pieces.fetch, self.pending))
         self._changed()
         return item
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:
         if not rows:
             return
-        if self.schema is None:
+        if self.pieces.schema is None:
             raise RuntimeError("insert_rows into an uninitialized reservoir")
         self.pending.insert_rows(rows)
         self._changed()
@@ -375,20 +481,16 @@ class CoPartitionedReservoir:
         if m <= 0:
             return
         self.pending.replace_random(m, sizes)
-        self._add_piece(batch_df, len(sizes))
+        self.pieces.add(batch_df, sizes)
         self._changed()
 
     def clear(self) -> None:
         self.pending.clear()
-        self.pieces = []
+        self.pieces.clear()
         self._df = None
 
     def to_pandas(self) -> pd.DataFrame:
-        if self.df is not None:
-            return self.df.toPandas()
-        if self.schema is None:
-            return pd.DataFrame()
-        return self._empty_items().copy()
+        return self.pieces.to_pandas(self.df)
 
 
 class KVReservoir:

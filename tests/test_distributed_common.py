@@ -9,6 +9,7 @@ from repro.distributed.common import (
     distributed_counts,
     partition_sizes,
     position_spec,
+    ranked,
     select,
     slots_to_positions,
 )
@@ -196,6 +197,26 @@ class TestSelectRandomPerPartition:
         kept = keys_by_partition(select(df40, spec, seed=0, round_no=3, exclude=addresses(excluded)))
         assert [len(k) for k in kept] == [s - 3 if pid in excluded else s for pid, s in enumerate(sizes)]
         assert not gone & {k for ks in kept for k in ks}
+
+    def test_exclusions_keep_the_order_of_the_rest(self, df40):
+        """``in_order`` draws each partition's ``rand`` order before it drops
+        the excluded rows, so the rows left keep their order: a count kept
+        after an exclusion is the same rows as before it, less the
+        excluded one."""
+        sizes = partition_sizes(df40)
+
+        def order(exclude=()):
+            rows = ranked(df40, seed=0, round_no=5, exclude=exclude).toPandas()
+            return [list(g.sort_values("__rank")["k"]) for _, g in rows.groupby(rows["__rank"].to_numpy() >> 33)]
+
+        full = order()
+        assert [len(o) for o in full] == sizes
+        gone = {pid: [3] for pid, size in enumerate(sizes) if size > 3}
+        keys = keys_by_partition(df40)
+        rest = order(addresses({pid: np.array(offs) for pid, offs in gone.items()}))
+        for pid, keys_in_order in enumerate(full):
+            dropped = {keys[pid][3]} if pid in gone else set()
+            assert rest[pid] == [k for k in keys_in_order if k not in dropped], pid
 
     def test_complementarity(self, spark, df40):
         sizes = partition_sizes(df40)

@@ -259,8 +259,9 @@ def typed_batch(spark, size):
 
 class TestOnePassExtract:
     """``extract_one`` on the co-partitioned reservoir: one small Spark
-    job that fetches the picked row by its address in its piece, with a
-    keep still pending and no rewrite of the rest."""
+    job over the picked row's piece, by its address or, with a keep still
+    pending, as the first item of its partition's ``rand`` order, and no
+    rewrite of the rest."""
 
     @staticmethod
     def filled(spark, strategy):
@@ -271,8 +272,8 @@ class TestOnePassExtract:
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_case3_downsample_is_one_job(self, spark, strategy):
-        """The keep only changes counts on the driver; the extract fetches
-        its row in one job."""
+        """The keep only changes the driver's decisions; the extract
+        fetches its row in one job."""
         R, source = self.filled(spark, strategy)
         R.extract_one()  # the first extract also learns the pandas dtypes
         sc = spark.sparkContext
@@ -372,12 +373,83 @@ class TestPieces:
         for k in [60, 50, 40]:
             R.keep_random(k)
             extracted += [R.extract_one() for _ in range(4)]
-        assert len(R.pieces) == 3, "merged"
+        assert len(R.pieces.frames) == 3, "merged"
         rows = {(r.t, r.i) for r in R.to_pandas().itertuples()}
         taken = {(r["t"], r["i"]) for r in extracted}
         assert len(taken) == len(extracted) == 12 and not taken & rows
         assert len(rows) == R.count == 36 and rows <= set(source)
         assert R.sizes == R.df.rdd.glom().map(len).collect()
+
+
+def rows_of(frame):
+    return set(map(tuple, frame[["t", "i"]].itertuples(index=False)))
+
+
+class TestRealizationNests:
+    """Between merges the co-partitioned reservoir realizes its items
+    from pending decisions; every realization must agree with the earlier
+    ones, as a reservoir rewritten by each operation would: the items
+    after an operation are some of the items before it plus the rows it
+    adds, and an extracted item is one of the items before it."""
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_every_view_nests(self, spark, strategy):
+        """Keeps, extracts (by address and by place in a partition's
+        ``rand`` order), a put-back row and a replacement on one
+        unmerged reservoir, realized after every operation."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=2, target_partitions=4)
+        batches = [range_batch(spark, t, 40, 4) for t in range(3)]
+        script = [
+            ("insert_all", 0), ("extract_one",), ("keep_random", 30), ("extract_one",),
+            ("extract_one",), ("insert_rows",), ("insert_all", 1), ("keep_random", 50),
+            ("extract_one",), ("keep_random", 40), ("extract_one",), ("replace_random", 2),
+            ("extract_one",), ("keep_random", 20), ("extract_one",), ("extract_one",),
+        ]
+        before, extracted = set(), []
+        for op, *args in script:
+            added = set()
+            if op == "extract_one":
+                item = R.extract_one()
+                extracted.append((item["t"], item["i"]))
+                assert extracted[-1] in before, (op, extracted[-1])
+                before.discard(extracted[-1])
+            elif op == "insert_rows":
+                R.insert_rows([{"t": extracted[-1][0], "i": extracted[-1][1]}])
+                added = {extracted[-1]}
+            elif op == "keep_random":
+                R.keep_random(*args)
+            else:
+                batch = batches[args[0]]
+                if op == "insert_all":
+                    R.insert_all(batch, partition_sizes(batch))
+                else:
+                    R.replace_random(15, batch, partition_sizes(batch))
+                added = rows_of(batch.toPandas())
+            after = rows_of(R.to_pandas())
+            assert len(after) == R.count and after <= before | added, (op, after - before - added)
+            before = after
+        assert len(R.pieces.frames) == 3, "merged"
+
+    @pytest.mark.parametrize("kw", VARIANTS[:2], ids=IDS[:2])
+    def test_samples_nest_across_rounds(self, spark, kw):
+        """D-R-TBS realized every round: S_{t+1} ⊆ A_t ∪ {π_t} ∪ B_{t+1},
+        and so are A_{t+1} and π_{t+1}, through every Alg. 2 branch."""
+        lam, n = 0.3, 20
+        sched = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0),
+                 (12, 1.0), (9, 1.0), (0, 1.0), (14, 1.0), (5, 1.0), (0, 1.0)]
+        d = DRTBS(spark, lam, n, seed=6, target_partitions=4, **kw)
+        before, merges = set(), 0
+        for t, (b, dt) in enumerate(sched):
+            parts = len(d.reservoir.sizes)
+            d.advance(range_batch(spark, t, b, 4), dt=dt)
+            merges += len(d.reservoir.sizes) < parts
+            allowed = before | {(t, i) for i in range(b)}
+            items = rows_of(d.reservoir.to_pandas())
+            partial = {(d.partial["t"], d.partial["i"])} if d.partial is not None else set()
+            sample = rows_of(d.sample_pandas(rng=np.random.default_rng(t)))
+            assert items | partial <= allowed and sample <= allowed, (t, (items | partial) - allowed)
+            before = items | partial
+        assert 0 < merges, "no merge"
 
 
 class TestJobsPerRound:
@@ -399,8 +471,8 @@ class TestJobsPerRound:
         sampler = DRTBS(spark, lam, n, seed=5, storage="cp", strategy="dist", target_partitions=P)
         sampler.advance(range_batch(spark, 0, fill, P))
         res = sampler.reservoir
-        fetch, merge = res._fetch, res._merge
-        monkeypatch.setattr(res, "_fetch", lambda *a: fetches.append(a) or fetch(*a))
+        fetch, merge = res.pieces.fetch, res._merge
+        monkeypatch.setattr(res.pieces, "fetch", lambda *a: fetches.append(a) or fetch(*a))
         monkeypatch.setattr(res, "_merge", lambda: merges.append(1) or merge())
         sc = spark.sparkContext
         empty = range_batch(spark, 0, 0, P)

@@ -1,14 +1,15 @@
 """The co-partitioned reservoir's driver-side composition, without Spark.
 
-``PendingDecisions`` turns every reservoir operation into counts,
-excluded offsets and driver-held rows, and the rows are picked only when
-the reservoir merges. Here Python lists stand in for the checkpointed
-pieces and a merge is realized in Python, as the Spark pass does it:
-drop the excluded rows, keep a uniform ``keep[j]``-subset of each stored
-partition (Spark's ``rand`` order), append the held rows and group the
-partitions into ``P``. Over many seeds, the realized latent sample
-(items in A, items extracted as π) must have the law it has in a
-``ListReservoir``.
+``CoPartitionedReservoir`` turns every reservoir operation into pending
+decisions on the driver (``PendingDecisions``) and picks rows only when
+its store realizes them. Here ``ListPieces``, Python lists in place of
+the Spark store, realizes them as ``SparkPieces`` does: a batch's
+partitions are stored whole, each with a random order of its rows drawn
+when it is stored (Spark's ``rand`` over a checkpointed piece), and a
+merge concatenates whole partitions into ``P``. Over many seeds, the
+realized latent sample (items in A, items extracted as π) must have the
+law it has in a ``ListReservoir``, and after every operation the items
+must be some of the items before it plus the rows it added.
 """
 from collections import Counter
 
@@ -16,89 +17,74 @@ import numpy as np
 import pytest
 
 from repro.core.latent import ListReservoir
-from repro.distributed.reservoir import PendingDecisions
+from repro.distributed.reservoir import CoPartitionedReservoir
 from tbsbench.checks import chi2_sf
 
 P = 1  # merge above 4 partitions, so some ops compose and some merge
 SCRIPT_SEED = 1987  # a script with every operation, the clear late in it
 OPS = ("insert_all", "keep_random", "extract_one", "replace_random", "insert_rows", "clear")
+STRATEGIES = ["dist", "cent"]
 
 
 class ListPieces:
-    """``CoPartitionedReservoir`` with Python lists for its pieces."""
+    """``SparkPieces`` with Python lists for its pieces."""
 
-    def __init__(self, rng, merge_rng):
-        self.pending = PendingDecisions(rng)
-        self.parts = []  # the rows of every stored partition
-        self.merge_rng = merge_rng  # the merge's rand order
-        self.merges = 0
-
-    @property
-    def count(self):
-        return self.pending.count
-
-    def _changed(self):
-        if self.pending.due(4 * P):
-            self.merge()
-
-    def merge(self):
-        self.merges += 1
-        pend, parts = self.pending, []
-        for rows, keep, excluded in zip(self.parts, pend.keep, pend.excluded):
-            eligible = [r for off, r in enumerate(rows) if off not in excluded]
-            assert keep <= len(eligible), (keep, eligible)
-            if keep < len(eligible):
-                eligible = [eligible[i] for i in self.merge_rng.permutation(len(eligible))[:keep]]
-            parts.append(eligible)
-        if pend.held:
-            parts.append(list(pend.held))
-        # coalesce: whole partitions grouped into at most P
-        groups = [sum(parts[g::P], []) for g in range(min(P, len(parts)))]
-        self.parts = groups
-        pend.merged([len(g) for g in groups])
-
-    def __iter__(self):
-        self.merge()
-        return (r for part in self.parts for r in part)
-
-    def insert_all(self, batch, sizes):
-        self.pending.add(sizes, sizes)
-        self.parts += split(batch, sizes)
-        self._changed()
-
-    def keep_random(self, k):
-        if k < self.count:
-            self.pending.keep_random(k)
-            self._changed()
-
-    def extract_one(self):
-        if self.count == 0:
-            return None
-        item = self.pending.extract_one(lambda pid, off: self.parts[pid][off])
-        self._changed()
-        return item
-
-    def insert_rows(self, rows):
-        self.pending.insert_rows(rows)
-        self._changed()
-
-    def replace_random(self, m, batch, sizes):
-        if m > 0:
-            self.pending.replace_random(m, sizes)
-            self.parts += split(batch, sizes)
-            self._changed()
+    def __init__(self, rng):
+        self.rng = rng  # draws each stored partition's order
+        self.schema = None
+        self.clear()
 
     def clear(self):
-        self.pending.clear()
-        self.parts = []
+        self.parts, self.orders = [], []
+
+    def add(self, batch, sizes):
+        self.schema = True
+        start = 0
+        for size in sizes:
+            self.parts.append(batch[start : start + size])
+            self.orders.append(self.rng.permutation(size).tolist())
+            start += size
+
+    def _order(self, pending, j):
+        """The offsets of partition j's rows not excluded, in its order."""
+        return [off for off in self.orders[j] if off not in pending.excluded[j]]
+
+    def view(self, pending):
+        parts = []
+        for j, rows in enumerate(self.parts):
+            if pending.strategy == "dist":
+                offsets = self._order(pending, j)[: pending.keep[j]]
+            else:
+                offsets = pending.offsets(j).tolist()
+            assert len(offsets) == pending.keep[j]
+            parts.append([rows[off] for off in sorted(offsets)])
+        if pending.held:
+            parts.append(list(pending.held))
+        return parts
+
+    def fetch(self, pending, pid, offset):
+        if offset is None:
+            offset = self._order(pending, pid)[0]
+        return self.parts[pid][offset], offset
+
+    def merge(self, view, P):
+        # coalesce: whole partitions grouped into at most P
+        groups = [sum(view[g::P], []) for g in range(min(P, len(view)))]
+        self.clear()
+        self.add(sum(groups, []), [len(g) for g in groups])
+        return [len(g) for g in groups]
 
 
-def split(batch, sizes):
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(batch[start : start + size])
-        start += size
-    return parts
+def list_reservoir(strategy, rng, order_rng):
+    return CoPartitionedReservoir(
+        None, strategy=strategy, seed=rng, target_partitions=P, pieces=ListPieces(order_rng)
+    )
+
+
+def items(reservoir):
+    if isinstance(reservoir, ListReservoir):
+        return list(reservoir)
+    return [row for part in reservoir.df for row in part]
 
 
 def random_script(rng, n_ops, max_items=6):
@@ -140,16 +126,27 @@ def random_script(rng, n_ops, max_items=6):
 
 
 def run(script, reservoir):
-    """Play the script; the outcome is (items left, items extracted)."""
-    extracted = []
+    """Play the script; the outcome is (items left, items extracted).
+    After every operation, the items are some of the items before it
+    plus the rows it added, and an extracted item was one of them."""
+    extracted, before = [], set()
     for op, *args in script:
+        added = set()
         if op == "extract_one":
             extracted.append(reservoir.extract_one())
+            assert extracted[-1] in before, (extracted[-1], before)
+            before.discard(extracted[-1])
         elif op == "insert_rows":
             reservoir.insert_rows([extracted[-1]])
+            added = {extracted[-1]}
         else:
             getattr(reservoir, op)(*args)
-    return tuple(sorted(reservoir)), tuple(extracted)
+            if op in ("insert_all", "replace_random"):
+                added = set(args[-2])
+        after = set(items(reservoir))
+        assert after <= before | added, (op, after, before, added)
+        before = after
+    return tuple(sorted(before)), tuple(extracted)
 
 
 def homogeneity_p(a: Counter, b: Counter) -> float:
@@ -167,18 +164,23 @@ def homogeneity_p(a: Counter, b: Counter) -> float:
 TRIALS = 20_000
 
 
-def laws(script):
+_LISTED = {}  # a script's outcome counts on ListReservoir, shared by both strategies
+
+
+def laws(script, strategy):
     """Outcome counts of ``TRIALS`` plays of the script on each reservoir;
     the plays on one reservoir draw from one generator."""
-    pending, listed = Counter(), Counter()
-    rng, merge_rng, list_rng = (np.random.default_rng([7, i]) for i in range(3))
-    for _ in range(TRIALS):
-        pending[run(script, ListPieces(rng, merge_rng))] += 1
-        listed[run(script, ListReservoir((), list_rng))] += 1
-    return pending, listed
+    key = repr(script)
+    if key not in _LISTED:
+        list_rng = np.random.default_rng([7, 2])
+        _LISTED[key] = Counter(run(script, ListReservoir((), list_rng)) for _ in range(TRIALS))
+    rng, order_rng = (np.random.default_rng([7, i]) for i in range(2))
+    pending = Counter(run(script, list_reservoir(strategy, rng, order_rng)) for _ in range(TRIALS))
+    return pending, _LISTED[key]
 
 
-def test_joint_law_matches_list_reservoir():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_joint_law_matches_list_reservoir(strategy):
     """Keeps and extracts compose between merges: two keeps around an
     extract whose row is put back, an extract from a partition that
     already lost a row, a replacement that merges the reservoir if the
@@ -194,15 +196,16 @@ def test_joint_law_matches_list_reservoir():
         ("replace_random", 1, [5, 6], [1, 1]),
         ("extract_one",),
     ]
-    pending, listed = laws(script)
+    pending, listed = laws(script, strategy)
     p = homogeneity_p(pending, listed)
     assert p > 1e-4, p
 
 
-def test_random_script():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_random_script(strategy):
     """A random script of every reservoir operation, on at most 6 items."""
     script = random_script(np.random.default_rng(SCRIPT_SEED), n_ops=8)
     assert {op for op, *_ in script} == set(OPS), script
-    pending, listed = laws(script)
+    pending, listed = laws(script, strategy)
     p = homogeneity_p(pending, listed)
     assert p > 1e-4, (p, script)
