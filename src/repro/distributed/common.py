@@ -10,12 +10,14 @@ The per-round passes are plain Spark SQL expressions, evaluated inside
 the JVM executors with no Python worker:
 
 * ``partition_sizes`` counts the rows of every ``spark_partition_id()``
-  in ``DataFrame.observe`` metrics over a ``noop`` write: one job of one
-  stage, which also materializes a lazy checkpoint under the frame;
-* ``select`` addresses a row by ``monotonically_increasing_id()``, whose
-  value is ``(pid << 33) + offset``: the row's partition in the plan the
-  expression is evaluated over, and its position inside that partition.
-  The expression is projected directly over the given DataFrame, so the
+  in ``DataFrame.observe`` metrics (``observed_sizes``) over a ``noop``
+  write: one job of one stage, which also materializes a lazy checkpoint
+  under the frame;
+* ``keep_first`` and ``keep_offsets``, one filter per decision strategy,
+  address a row by ``monotonically_increasing_id()``, whose value is
+  ``(pid << 33) + offset``: the row's partition in the plan the expression
+  is evaluated over, and its position inside that partition. The
+  expression is projected directly over the given DataFrame, so the
   addresses are those of its own partitions; the co-partitioned
   reservoir gives it one checkpointed piece at a time. A frame of local
   data must be checkpointed first: over it, Spark's optimizer evaluates
@@ -28,12 +30,14 @@ Two decision strategies from the paper:
 
 * **Centralized** — the master samples *global slot numbers* and maps
   each to a ``(partition, offset)`` pair using cumulative partition
-  sizes; the rows at those addresses are picked by a filter on the row
-  address (few) or by a broadcast join on the partition id that brings
-  each row its partition's bitmap of picked offsets (many).
+  sizes (``central_positions``); ``keep_offsets`` keeps the rows at those
+  addresses by a filter on the row address (few) or by a broadcast join
+  on the partition id that brings each row its partition's bitmap of
+  offsets (many).
 * **Distributed** — the master samples only a per-partition *count*
-  vector from the multivariate hypergeometric law; each partition orders
-  its rows by ``rand(s)`` and picks its first ``count`` rows. The
+  vector from the multivariate hypergeometric law
+  (``distributed_counts``); ``keep_first`` orders each partition's rows
+  by ``rand(s)`` and keeps its first ``count`` rows. The
   ``rand`` values are drawn over the frame's own rows before any excluded
   row is dropped (``in_order``), so an exclusion never reorders the rest
   and the co-partitioned reservoir's later picks nest in its earlier
@@ -46,7 +50,7 @@ Two decision strategies from the paper:
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -61,6 +65,7 @@ RAND = "__rand"  # the rand(s) value that orders a partition
 _PID = "__pid"
 _BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
 _PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
+_OFFSET_MASK = (1 << _PID_SHIFT) - 1  # an address's offset bits
 INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
@@ -70,11 +75,20 @@ def partition_sizes(df: DataFrame) -> list[int]:
     n_parts = df.rdd.getNumPartitions()
     if n_parts == 0:
         return []
+    return observed_sizes(df, n_parts, lambda d: d.write.format("noop").mode("overwrite").save())[1]
+
+
+def observed_sizes(
+    df: DataFrame, n_parts: int, action: Callable[[DataFrame], Any]
+) -> tuple[Any, list[int]]:
+    """``action(df)``'s result and the row count of each of partitions
+    ``0 .. n_parts - 1`` of ``df``, counted by ``DataFrame.observe`` in the
+    job the action runs."""
     obs = Observation()
     counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(n_parts)]
-    df.observe(obs, *counts).write.format("noop").mode("overwrite").save()
+    out = action(df.observe(obs, *counts))
     metrics = obs.get
-    return [int(metrics[f"p{pid}"]) for pid in range(n_parts)]
+    return out, [int(metrics[f"p{pid}"]) for pid in range(n_parts)]
 
 
 def slots_to_positions(
@@ -117,24 +131,6 @@ def distributed_counts(
     """Distributed decisions: master draws only per-partition counts."""
     counts = multivariate_hypergeometric_split(rng, sizes, k)
     return {pid: c for pid, c in enumerate(counts) if c > 0}
-
-
-def position_spec(
-    positions: Mapping[int, np.ndarray], sizes: Sequence[int], mode: str
-) -> dict[int, tuple[str, np.ndarray]]:
-    """``select`` spec applying ``mode`` to the given offsets of every
-    partition, the smaller side shipped: an offset set larger than half
-    its partition becomes the opposite mode on the complement. A
-    partition left untouched is omitted."""
-    flip = {"keep": "drop", "drop": "keep"}
-    spec = {}
-    for pid, size in enumerate(sizes):
-        m, offs = mode, np.asarray(positions.get(pid, ()), dtype=np.int64)
-        if 2 * len(offs) > size:
-            m, offs = flip[mode], np.setdiff1d(np.arange(size), offs)
-        if m == "keep" or len(offs):
-            spec[pid] = (m, offs)
-    return spec
 
 
 def addresses(positions: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -190,67 +186,67 @@ def ranked(
     return out.sortWithinPartitions(F.expr(RAND)).selectExpr("*", f"monotonically_increasing_id() AS {RANK}")
 
 
-def select(
-    df: DataFrame,
-    spec: Mapping[int, tuple[str, object]],
-    *,
-    seed: int,
-    round_no: int,
-    exclude: Sequence[int] = (),
-) -> DataFrame:
-    """One pass keeping (or dropping) picked rows, per partition.
+def _by_partition(rows: DataFrame, picked: Mapping[int, str], columns: Sequence[str]) -> DataFrame:
+    """``rows`` with ``columns`` only, each partition ``pid`` in ``picked``
+    left with the rows its SQL predicate ``picked[pid]`` holds for; the
+    rest pass through."""
+    if picked:
+        cases = " ".join(f"WHEN {pid} THEN {pred}" for pid, pred in sorted(picked.items()))
+        rows = rows.filter(f"CASE shiftright({ROW}, {_PID_SHIFT}) {cases} ELSE true END")
+    return rows.select(*columns)
 
-    ``spec[pid] = (mode, payload)`` with mode ``"keep"``/``"drop"`` and
-    payload either an offset array (centralized decisions) or an int
-    count (distributed decisions: the partition's first ``count`` rows
-    in the order of ``in_order``, so the same (seed, round) picks the same
-    rows). Partitions absent from the spec pass through unchanged. The
-    rows at the addresses in ``exclude`` (a few, listed inline) are
-    dropped first, so a count ranks only the rows left. One pass, no
-    shuffle.
-    """
-    cols = df.columns
-    counts = {
-        pid: int(p) for pid, (_m, p) in spec.items() if isinstance(p, (int, np.integer))
-    }
-    if any(counts.values()):
-        out = ranked(df, seed=seed, round_no=round_no, exclude=exclude)
+
+def keep_first(
+    piece: DataFrame, keep: Mapping[int, int], *, seed: int, round_no: int, exclude: Sequence[int] = ()
+) -> DataFrame:
+    """Distributed decisions: partition ``pid`` of ``piece`` keeps its first
+    ``keep[pid]`` rows in the order of ``in_order``, so the same (seed,
+    round) keeps the same rows. The rows at the addresses in ``exclude``
+    (a few, listed inline) are dropped first, so a count ranks only the
+    rows left; the other partitions keep every row not excluded. One pass,
+    no shuffle; the rows are ranked only when some count is positive."""
+    if not keep and not len(exclude):
+        return piece
+    if any(keep.values()):
+        rows = ranked(piece, seed=seed, round_no=round_no, exclude=exclude)
     else:
-        out = _without(df.withColumn(ROW, F.monotonically_increasing_id()), exclude)
-    offset_mask = (1 << _PID_SHIFT) - 1
-    offsets = {
-        pid: np.asarray(p, dtype=np.int64)
-        for pid, (_m, p) in spec.items()
-        if not isinstance(p, (int, np.integer)) and len(p)
-    }
-    n_addresses = sum(map(len, offsets.values()))
-    if n_addresses > INLINE_ADDRESSES:
+        rows = _without(piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}"), exclude)
+    picked = {pid: f"({RANK} & {_OFFSET_MASK}) < {k}" if k else "false" for pid, k in keep.items()}
+    return _by_partition(rows, picked, piece.columns)
+
+
+def keep_offsets(piece: DataFrame, offsets: Mapping[int, np.ndarray], sizes: Sequence[int]) -> DataFrame:
+    """Centralized decisions: partition ``pid`` of ``piece`` (``sizes[pid]``
+    rows) keeps only its rows at ``offsets[pid]``; the other partitions
+    pass through. Each partition ships its smaller side: a keep of more
+    than half its rows becomes a drop of the rest. Up to
+    ``INLINE_ADDRESSES`` shipped addresses are listed inline; more are
+    broadcast as one bitmap per partition. One pass, no shuffle."""
+    if not offsets:
+        return piece
+    drops = {pid for pid, offs in offsets.items() if 2 * len(offs) > sizes[pid]}
+    shipped = {}
+    for pid, offs in offsets.items():
+        offs = np.setdiff1d(np.arange(sizes[pid]), offs) if pid in drops else np.asarray(offs, dtype=np.int64)
+        if len(offs):
+            shipped[pid] = offs
+    rows = piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
+    if sum(map(len, shipped.values())) > INLINE_ADDRESSES:
         # One row per partition, whatever the number of picks: a bitmap
         # ships and probes faster than a broadcast table of addresses.
-        bitmaps = df.sparkSession.createDataFrame(
-            pd.DataFrame({_PID: list(offsets), _BITMAP: list(map(_bitmap, offsets.values()))}),
+        bitmaps = piece.sparkSession.createDataFrame(
+            pd.DataFrame({_PID: list(shipped), _BITMAP: list(map(_bitmap, shipped.values()))}),
             schema=f"{_PID} int, {_BITMAP} array<bigint>",
         )
-        out = out.withColumn(_PID, F.expr(f"int(shiftright({ROW}, {_PID_SHIFT}))"))
-        out = out.join(F.broadcast(bitmaps), _PID, "left")
-        offset = f"({ROW} & {offset_mask})"
+        rows = rows.selectExpr("*", f"int(shiftright({ROW}, {_PID_SHIFT})) AS {_PID}")
+        rows = rows.join(F.broadcast(bitmaps), _PID, "left")
+        offset = f"({ROW} & {_OFFSET_MASK})"
         word = f"try_element_at({_BITMAP}, int(shiftright({offset}, 6)) + 1)"
         at_address = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
-    elif n_addresses:
-        at_address = f"{ROW} IN ({', '.join(map(str, addresses(offsets)))})"
-    cases = []
-    for pid, (mode, p) in sorted(spec.items()):
-        if pid in offsets:
-            picked_row = at_address
-        elif counts.get(pid):
-            picked_row = f"({RANK} & {offset_mask}) < {counts[pid]}"
-        else:
-            picked_row = "false"
-        cases.append(
-            f"WHEN {pid} THEN {picked_row if mode == 'keep' else f'NOT ({picked_row})'}"
-        )
-    if cases:
-        out = out.filter(
-            f"CASE shiftright({ROW}, {_PID_SHIFT}) {' '.join(cases)} ELSE true END"
-        )
-    return out.select(*cols)
+    elif shipped:
+        at_address = f"{ROW} IN ({', '.join(map(str, addresses(shipped)))})"
+    picked = {}
+    for pid in offsets:
+        listed = at_address if pid in shipped else "false"
+        picked[pid] = f"NOT ({listed})" if pid in drops else listed
+    return _by_partition(rows, picked, piece.columns)

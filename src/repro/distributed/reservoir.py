@@ -41,7 +41,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Observation, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches through it
@@ -51,10 +51,11 @@ from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches t
     addresses,
     central_positions,
     distributed_counts,
-    partition_sizes,
     in_order,
-    position_spec,
-    select,
+    keep_first,
+    keep_offsets,
+    observed_sizes,
+    partition_sizes,
 )
 from repro.rng import make_rng, sample_without_replacement
 
@@ -65,15 +66,16 @@ class PendingDecisions:
 
     The items are rows of stored partitions ``0 .. len(stored) - 1``
     (``stored[j]`` rows each, addressed by offset) and the driver-held
-    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items, and
-    ``excluded[j]`` lists the offsets of the rows ``extract_one`` took
-    from it. Which rows are the items depends on the decision strategy:
+    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items. Which
+    rows are the items depends on the decision strategy:
 
     * distributed: the first ``keep[j]`` rows not excluded, in an order of
       the partition's rows drawn at random when it was stored (Spark's
-      ``rand`` over its piece, ``common.in_order``);
+      ``rand`` over its piece, ``common.in_order``); ``excluded[j]`` lists
+      the offsets of the rows ``extract_one`` took from it;
     * centralized: the rows at the offsets ``offsets(j)``, drawn on the
-      driver (every row until a decision touches the partition).
+      driver (every row until a decision touches the partition), which an
+      extract leaves out; ``excluded[j]`` stays empty.
 
     The reservoir operations change only these, with draws from ``rng``
     through ``distributed_counts`` or ``central_positions``. A keep keeps
@@ -114,7 +116,8 @@ class PendingDecisions:
     def due(self, max_partitions: int) -> bool:
         """Whether the reservoir should merge: it has more than
         ``max_partitions`` partitions, or as many excluded rows as
-        ``select`` lists inline."""
+        ``common.keep_first`` lists inline (distributed decisions only:
+        centralized ones exclude no row)."""
         n_excluded = sum(map(len, self.excluded))
         return len(self.sizes) > max_partitions or n_excluded >= INLINE_ADDRESSES
 
@@ -211,7 +214,8 @@ class PendingDecisions:
         item, offset = fetch(pid, self._offset(pid, slot))
         if self.strategy == "cent":
             self.kept[pid] = np.delete(self.offsets(pid), slot)
-        bisect.insort(self.excluded[pid], offset)
+        else:
+            bisect.insort(self.excluded[pid], offset)
         self.keep[pid] -= 1
         return item
 
@@ -271,22 +275,16 @@ class SparkPieces:
         self, pending: PendingDecisions, frame: DataFrame, first: int, n_parts: int, op: int
     ) -> DataFrame:
         """A piece (partitions ``first ..``) with its pending decisions
-        applied: one ``select`` over the checkpointed frame."""
-        spec, excluded = {}, {}
-        for pid in range(n_parts):
-            j = first + pid
-            stored, keep, ex = pending.stored[j], pending.keep[j], pending.excluded[j]
-            if keep == stored:
-                continue
-            if pending.strategy == "cent":
-                spec[pid] = position_spec({0: pending.offsets(j)}, [stored], "keep")[0]
-                continue
-            excluded[pid] = ex
-            if keep < stored - len(ex):
-                spec[pid] = ("keep", keep)
-        if not spec and not excluded:
-            return frame
-        return select(frame, spec, seed=self.seed, round_no=op, exclude=addresses(excluded))
+        applied: one filter over the checkpointed frame."""
+        parts = slice(first, first + n_parts)
+        stored, keep = pending.stored[parts], pending.keep[parts]
+        if pending.strategy == "cent":
+            offsets = {pid: pending.offsets(first + pid) for pid, k in enumerate(keep) if k < stored[pid]}
+            return keep_offsets(frame, offsets, stored)
+        excluded = pending.excluded[parts]
+        counts = {pid: k for pid, k in enumerate(keep) if k < stored[pid] - len(excluded[pid])}
+        exclude = addresses(dict(enumerate(excluded)))
+        return keep_first(frame, counts, seed=self.seed, round_no=op, exclude=exclude)
 
     def fetch(
         self, pending: PendingDecisions, pid: int, offset: int | None
@@ -321,11 +319,8 @@ class SparkPieces:
     def merge(self, view: DataFrame, P: int) -> list[int]:
         """Rewrite the items into one piece of at most ``P`` partitions in
         one pass, sized by ``observe`` counts over the merged partitions."""
-        obs = Observation()
-        counts = [F.expr(f"count_if(spark_partition_id() = {pid}) AS p{pid}") for pid in range(P)]
-        merged = view.coalesce(P).observe(obs, *counts).localCheckpoint(eager=True)
-        metrics = obs.get
-        sizes = [int(metrics[f"p{pid}"]) for pid in range(merged.rdd.getNumPartitions())]
+        merged, sizes = observed_sizes(view.coalesce(P), P, lambda df: df.localCheckpoint(eager=True))
+        sizes = sizes[: merged.rdd.getNumPartitions()]
         self.frames = []
         self.add(merged, sizes)
         return sizes
@@ -353,9 +348,9 @@ class CoPartitionedReservoir:
     partitions coincide with the pieces' partitions (the automatic
     co-partitioning of Sec. 5.2), and the driver's ``PendingDecisions``
     say which of their rows are items: per partition, a keep count over a
-    random order of its rows (distributed decisions) or the kept offsets
-    (centralized), the addresses ``extract_one`` set aside, and the rows
-    ``insert_rows`` put back, which stay on the driver. ``sizes`` (items
+    random order of its rows and the addresses ``extract_one`` set aside
+    (distributed decisions) or the kept offsets (centralized), and the
+    rows ``insert_rows`` put back, which stay on the driver. ``sizes`` (items
     per partition) and ``count`` are read there, with no Spark job. An
     operation only drops items or adds rows, so every view of the items
     between merges agrees with the ones before it.
@@ -367,10 +362,11 @@ class CoPartitionedReservoir:
     for a distributed partition with a keep pending, a top-1 of its
     ``rand`` order — or none when the pick is a driver-held row (the first
     extract adds 1 to learn the pandas dtypes of an item). The reservoir
-    *merges* when it has more than ``4·P`` partitions or 64 excluded
-    addresses (the ones ``select`` lists inline): one pass (1 job;
-    Cent-CP adds 1 to broadcast its offset bitmaps) drops the excluded
-    rows, applies the pending decisions, unions the held rows,
+    *merges* when it has more than ``4·P`` partitions or, for distributed
+    decisions, 64 excluded addresses (the ones ``common.keep_first``
+    lists inline): one pass (1 job; Cent-CP adds 1 to broadcast its offset
+    bitmaps) applies the pending decisions through ``common.keep_first``
+    or ``common.keep_offsets``, unions the held rows,
     ``coalesce``-s to ``P`` partitions, reads their sizes through
     ``DataFrame.observe`` and checkpoints. ``df`` is the lazy view of the
     items that a merge checkpoints.
@@ -379,7 +375,7 @@ class CoPartitionedReservoir:
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
     of the plan they are evaluated over, and ``rand`` advances once per
     row it is evaluated on. Every row address and every piece's ``rand``
-    order (``select``, the fetch) is therefore projected directly over one
+    order (the filters, the fetch) is therefore projected directly over one
     checkpointed piece, whose partitions and offsets the driver counted,
     before any row is dropped (``common.in_order``); every filter, union and
     the merge's ``coalesce`` sit above those projections. Unions put a

@@ -3,14 +3,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.distributed import common
 from repro.distributed.common import (
     addresses,
     central_positions,
     distributed_counts,
+    keep_first,
+    keep_offsets,
     partition_sizes,
-    position_spec,
     ranked,
-    select,
     slots_to_positions,
 )
 from repro.rng import make_rng
@@ -30,10 +31,19 @@ def batch30(spark):
     return spark.createDataFrame(pdf).repartition(3).localCheckpoint(eager=True)
 
 
-def spec_for(payloads, n_parts, mode, empty=EMPTY):
-    """A spec applying ``mode`` to every partition, ``empty`` where
-    ``payloads`` has no entry."""
-    return {pid: (mode, payloads.get(pid, empty)) for pid in range(n_parts)}
+@pytest.fixture(scope="module")
+def batch400(spark):
+    return spark.range(1000, 1400, 1, 4).selectExpr("id AS k", "id * 0.5D AS v").localCheckpoint(eager=True)
+
+
+def every(payloads, n_parts, empty):
+    """``payloads`` for every partition, ``empty`` where it has no entry."""
+    return {pid: payloads.get(pid, empty) for pid in range(n_parts)}
+
+
+def complement(positions, sizes):
+    """The offsets of every partition that ``positions`` does not name."""
+    return {pid: np.setdiff1d(np.arange(size), positions.get(pid, EMPTY)) for pid, size in enumerate(sizes)}
 
 
 def keys_by_partition(df):
@@ -119,8 +129,7 @@ class TestSelectByPositions:
         sizes = partition_sizes(df40)
         rng = make_rng(3)
         pos = central_positions(rng, sizes, 10)
-        spec = spec_for(pos, len(sizes), "keep")
-        kept = select(df40, spec, seed=0, round_no=1).toPandas()
+        kept = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes).toPandas()
         assert len(kept) == 10
         assert set(kept["k"]) <= set(range(40))
         glom = df40.rdd.glom().collect()
@@ -128,60 +137,69 @@ class TestSelectByPositions:
         assert set(kept["k"]) == expect
 
     def test_keep_drop_partition_universe(self, spark, df40):
+        """Keeping some offsets and keeping the rest split the rows."""
         sizes = partition_sizes(df40)
         pos = central_positions(make_rng(4), sizes, 15)
-        kept = select(df40, spec_for(pos, len(sizes), "keep"), seed=0, round_no=1).toPandas()
-        dropped = select(df40, spec_for(pos, len(sizes), "drop"), seed=0, round_no=1).toPandas()
+        kept = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes).toPandas()
+        dropped = keep_offsets(df40, complement(pos, sizes), sizes).toPandas()
         assert len(kept) == 15 and len(dropped) == 25
         assert sorted(kept["k"]) + sorted(dropped["k"]) != []
         assert sorted(list(kept["k"]) + list(dropped["k"])) == list(range(40))
 
     def test_empty_positions_drop_is_identity(self, df40):
-        n = len(partition_sizes(df40))
-        out = select(df40, spec_for({}, n, "drop"), seed=0, round_no=1).toPandas()
+        """Keeping every offset, or naming no partition, keeps every row."""
+        sizes = partition_sizes(df40)
+        out = keep_offsets(df40, complement({}, sizes), sizes).toPandas()
         assert sorted(out["k"]) == list(range(40))
-        assert sorted(select(df40, {}, seed=0, round_no=1).toPandas()["k"]) == list(range(40))
+        assert sorted(keep_offsets(df40, {}, sizes).toPandas()["k"]) == list(range(40))
 
     def test_empty_positions_keep_is_empty(self, df40):
-        n = len(partition_sizes(df40))
-        out = select(df40, spec_for({}, n, "keep"), seed=0, round_no=1).toPandas()
+        sizes = partition_sizes(df40)
+        out = keep_offsets(df40, every({}, len(sizes), EMPTY), sizes).toPandas()
         assert len(out) == 0
 
-    def test_many_positions_broadcast(self, df40, batch30):
-        """More positions than the filter inlines are broadcast as one
-        bitmap per partition and pick the same rows."""
-        union = df40.unionByName(batch30)
+    def test_many_positions_broadcast(self, df40, batch400):
+        """More shipped offsets than the filter inlines are broadcast as one
+        bitmap per partition and pick the same rows, shipped as kept
+        offsets or, for a keep of most rows, as dropped ones."""
+        union = df40.unionByName(batch400)
         sizes = partition_sizes(union)
-        pos = central_positions(make_rng(8), sizes, 66)
+        pos = central_positions(make_rng(8), sizes, 150)
         glom = union.rdd.glom().collect()
         picked = {glom[pid][o]["k"] for pid, offs in pos.items() for o in offs}
-        kept = select(union, spec_for(pos, len(sizes), "keep"), seed=0, round_no=1)
-        dropped = select(union, spec_for(pos, len(sizes), "drop"), seed=0, round_no=1)
+        kept = keep_offsets(union, every(pos, len(sizes), EMPTY), sizes)
+        dropped = keep_offsets(union, complement(pos, sizes), sizes)
+        for out in (kept, dropped):
+            out.collect()
+            assert "BroadcastHashJoin" in out._jdf.queryExecution().executedPlan().toString()
         kept, dropped = set(kept.toPandas()["k"]), set(dropped.toPandas()["k"])
-        assert kept == picked and len(kept) == 66
-        assert dropped == (set(range(40)) | set(range(100, 130))) - picked
-        assert len(dropped) == 4
+        assert kept == picked and len(kept) == 150
+        assert dropped == (set(range(40)) | set(range(1000, 1400))) - picked
+        assert len(dropped) == 290
 
-    def test_large_keep_equals_complement_drop(self, df40):
+    def test_large_keep_equals_complement_drop(self, df40, monkeypatch):
         """A keep of more than half a partition is shipped as a drop of
         its complement, with the same result."""
         sizes = partition_sizes(df40)
         pos = central_positions(make_rng(9), sizes, 30)
-        spec = position_spec(pos, sizes, "keep")
-        flipped = [pid for pid, (mode, _o) in spec.items() if mode == "drop"]
-        assert flipped and all(2 * len(pos.get(pid, ())) > sizes[pid] for pid in flipped)
-        assert all(2 * len(offs) <= sizes[pid] for pid, (_m, offs) in spec.items())
-        raw = select(df40, spec_for(pos, len(sizes), "keep"), seed=0, round_no=1)
-        shipped = select(df40, spec, seed=0, round_no=1)
-        assert keys_by_partition(raw) == keys_by_partition(shipped)
-        assert sum(map(len, keys_by_partition(shipped))) == 30
+        calls = []
+        monkeypatch.setattr(common, "addresses", lambda offs: calls.append(offs) or addresses(offs))
+        out = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes)
+        (shipped,) = calls  # the offsets listed inline, per partition
+        flipped = [pid for pid, offs in pos.items() if 2 * len(offs) > sizes[pid]]
+        assert flipped and all(set(shipped[pid]) == set(range(sizes[pid])) - set(pos[pid]) for pid in flipped)
+        assert all(2 * len(offs) <= sizes[pid] for pid, offs in shipped.items())
+        keys = keys_by_partition(df40)
+        expect = [sorted(keys[pid][o] for o in pos.get(pid, EMPTY)) for pid in range(len(sizes))]
+        assert keys_by_partition(out) == expect
+        assert sum(map(len, keys_by_partition(out))) == 30
 
 
 class TestSelectRandomPerPartition:
     def test_counts_respected(self, spark, df40):
         sizes = partition_sizes(df40)
         cnt = distributed_counts(make_rng(5), sizes, 12)
-        kept = select(df40, spec_for(cnt, len(sizes), "keep", 0), seed=0, round_no=1)
+        kept = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=1)
         assert len(kept.toPandas()) == 12
         got = [len(keys) for keys in keys_by_partition(kept)]
         assert got == [cnt.get(pid, 0) for pid in range(len(sizes))]
@@ -193,8 +211,8 @@ class TestSelectRandomPerPartition:
         excluded = {pid: np.array([0, size - 1]) for pid, size in enumerate(sizes) if size >= 3}
         keys = keys_by_partition(df40)
         gone = {keys[pid][o] for pid, offs in excluded.items() for o in offs}
-        spec = {pid: ("keep", sizes[pid] - 3) for pid in excluded}
-        kept = keys_by_partition(select(df40, spec, seed=0, round_no=3, exclude=addresses(excluded)))
+        keep = {pid: sizes[pid] - 3 for pid in excluded}
+        kept = keys_by_partition(keep_first(df40, keep, seed=0, round_no=3, exclude=addresses(excluded)))
         assert [len(k) for k in kept] == [s - 3 if pid in excluded else s for pid, s in enumerate(sizes)]
         assert not gone & {k for ks in kept for k in ks}
 
@@ -218,34 +236,18 @@ class TestSelectRandomPerPartition:
             dropped = {keys[pid][3]} if pid in gone else set()
             assert rest[pid] == [k for k in keys_in_order if k not in dropped], pid
 
-    def test_complementarity(self, spark, df40):
-        sizes = partition_sizes(df40)
-        cnt = distributed_counts(make_rng(6), sizes, 18)
-        kept = select(
-            df40, spec_for(cnt, len(sizes), "keep", 0), seed=0, round_no=2
-        ).toPandas()
-        dropped = select(
-            df40, spec_for(cnt, len(sizes), "drop", 0), seed=0, round_no=2
-        ).toPandas()
-        # same (seed, round) -> complementary deterministic choice
-        assert sorted(list(kept["k"]) + list(dropped["k"])) == list(range(40))
-
     def test_same_round_same_rows(self, spark, df40):
         sizes = partition_sizes(df40)
-        spec = spec_for(distributed_counts(make_rng(6), sizes, 18), len(sizes), "keep", 0)
-        k1 = select(df40, spec, seed=3, round_no=5).toPandas()
-        k2 = select(df40, spec, seed=3, round_no=5).toPandas()
+        keep = every(distributed_counts(make_rng(6), sizes, 18), len(sizes), 0)
+        k1 = keep_first(df40, keep, seed=3, round_no=5).toPandas()
+        k2 = keep_first(df40, keep, seed=3, round_no=5).toPandas()
         assert sorted(k1["k"]) == sorted(k2["k"])
 
     def test_different_rounds_differ(self, spark, df40):
         sizes = partition_sizes(df40)
         cnt = {pid: min(2, s) for pid, s in enumerate(sizes) if s > 0}
-        k1 = select(
-            df40, spec_for(cnt, len(sizes), "keep", 0), seed=0, round_no=1
-        ).toPandas()
-        k2 = select(
-            df40, spec_for(cnt, len(sizes), "keep", 0), seed=0, round_no=99
-        ).toPandas()
+        k1 = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=1).toPandas()
+        k2 = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=99).toPandas()
         assert sorted(k1["k"]) != sorted(k2["k"])
 
     def test_uniform_marginals(self, spark, df40):
@@ -255,9 +257,7 @@ class TestSelectRandomPerPartition:
         reps = 60
         for r in range(reps):
             cnt = distributed_counts(make_rng(100 + r), sizes, 20)
-            kept = select(
-                df40, spec_for(cnt, len(sizes), "keep", 0), seed=7, round_no=r
-            ).toPandas()
+            kept = keep_first(df40, every(cnt, len(sizes), 0), seed=7, round_no=r).toPandas()
             counts[kept["k"].to_numpy()] += 1
         freq = counts / reps
         # each ~Binomial(60, .5): 5 sigma ≈ 0.32
@@ -265,34 +265,31 @@ class TestSelectRandomPerPartition:
 
 
 class TestSelectOverUnion:
-    @pytest.mark.parametrize(
-        "picks",
-        [
-            {1: ("drop", 2), 5: ("keep", 3)},
-            {0: ("drop", np.array([0, 3])), 6: ("keep", np.array([1, 4, 7]))},
-        ],
-        ids=["counts", "positions"],
-    )
+    @pytest.mark.parametrize("picks", ["counts", "positions"])
     def test_touches_only_addressed_partitions(self, df40, batch30, picks):
-        """A select over ``reservoir ∪ batch`` addressed by union partition
+        """A filter over ``reservoir ∪ batch`` addressed by union partition
         ids (batch partitions follow the reservoir's 4) changes exactly
         those partitions, to the planned sizes: the ids are those of the
-        frame the select is projected over."""
+        frame the filter is projected over."""
         assert len(partition_sizes(df40)) == 4
         union = df40.unionByName(batch30)
         before = keys_by_partition(union)
-        after = keys_by_partition(select(union, picks, seed=1, round_no=1))
-        expect = [len(keys) for keys in before]
-        for pid, (mode, p) in picks.items():
-            k = p if isinstance(p, int) else len(p)
-            expect[pid] = k if mode == "keep" else expect[pid] - k
+        sizes = [len(keys) for keys in before]
+        if picks == "counts":
+            keep = {1: sizes[1] - 2, 5: 3}
+            after = keys_by_partition(keep_first(union, keep, seed=1, round_no=1))
+        else:
+            keep = {0: np.setdiff1d(np.arange(sizes[0]), [0, 3]), 6: np.array([1, 4, 7])}
+            after = keys_by_partition(keep_offsets(union, keep, sizes))
+        expect = list(sizes)
+        for pid, p in keep.items():
+            expect[pid] = p if picks == "counts" else len(p)
         assert [len(keys) for keys in after] == expect
         for pid, (keys_before, keys_after) in enumerate(zip(before, after)):
-            if pid in picks:
+            if pid in keep:
                 assert set(keys_after) < set(keys_before)
             else:
                 assert keys_after == keys_before
-
 
 
 class TestNoPythonWorker:
@@ -322,17 +319,18 @@ class TestNoPythonWorker:
         for plan in plans:
             self.assert_jvm_only(plan)
 
-    @pytest.mark.parametrize("picks", ["counts", "offsets", "bitmap"])
-    def test_select(self, df40, batch30, picks):
-        union = df40.unionByName(batch30)
+    @pytest.mark.parametrize("picks", ["counts", "exclude", "offsets", "bitmap"])
+    def test_select(self, df40, batch30, batch400, picks):
+        union = df40.unionByName(batch400 if picks == "bitmap" else batch30)
         sizes = partition_sizes(union)
-        if picks == "counts":
-            payload = distributed_counts(make_rng(10), sizes, 20)
-            spec = spec_for(payload, len(sizes), "keep", 0)
+        if picks in ("counts", "exclude"):
+            excluded = {pid: [0] for pid, size in enumerate(sizes) if size} if picks == "exclude" else {}
+            left = [size - len(excluded.get(pid, [])) for pid, size in enumerate(sizes)]
+            keep = every(distributed_counts(make_rng(10), left, 20), len(sizes), 0)
+            out = keep_first(union, keep, seed=0, round_no=1, exclude=addresses(excluded))
         else:
-            k = 10 if picks == "offsets" else 66
-            spec = spec_for(central_positions(make_rng(10), sizes, k), len(sizes), "keep")
-        out = select(union, spec, seed=0, round_no=1)
+            k = 10 if picks == "offsets" else 150
+            out = keep_offsets(union, every(central_positions(make_rng(10), sizes, k), len(sizes), EMPTY), sizes)
         out.collect()
         plan = out._jdf.queryExecution().executedPlan().toString()
         assert ("BroadcastHashJoin" in plan) == (picks == "bitmap"), plan

@@ -504,6 +504,25 @@ class TestJobsPerRound:
         assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 136
 
 
+class TestCentralizedExtracts:
+    def test_extracts_never_merge(self, spark, monkeypatch):
+        """Centralized decisions leave an extracted row out of the kept
+        offsets and exclude no address, so no number of extracts makes the
+        reservoir merge: each extract of a stored row runs 1 job."""
+        R = CoPartitionedReservoir(spark, strategy="cent", seed=1, target_partitions=2)
+        batch = range_batch(spark, 0, 200, 2)
+        R.insert_all(batch, partition_sizes(batch))
+        merges = []
+        merge = R._merge
+        monkeypatch.setattr(R, "_merge", lambda: merges.append(1) or merge())
+        R.extract_one()  # the first extract also learns the pandas dtypes
+        sc = spark.sparkContext
+        for k in range(2, 71):
+            _, jobs = jobs_in(sc, f"cent-{k}", R.extract_one)
+            assert (jobs, merges) == (1, []), k
+        assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 130
+
+
 class TestNoCallSiteCapture:
     """PySpark 4.1 records the Python call site of every ``Column`` method
     call, importing IPython on the way (about 25 MB of the driver's
