@@ -37,7 +37,8 @@ Two decision strategies from the paper:
 * **Distributed** — the master samples only a per-partition *count*
   vector from the multivariate hypergeometric law
   (``distributed_counts``); ``keep_first`` orders each partition's rows
-  by ``rand(s)`` and keeps its first ``count`` rows. The
+  by ``rand(s)`` and keeps ``count`` consecutive rows of that order, the
+  first ones unless the driver says how many to skip. The
   ``rand`` values are drawn over the frame's own rows before any excluded
   row is dropped (``in_order``), so an exclusion never reorders the rest
   and the co-partitioned reservoir's later picks nest in its earlier
@@ -197,21 +198,32 @@ def _by_partition(rows: DataFrame, picked: Mapping[int, str], columns: Sequence[
 
 
 def keep_first(
-    piece: DataFrame, keep: Mapping[int, int], *, seed: int, round_no: int, exclude: Sequence[int] = ()
+    piece: DataFrame,
+    keep: Mapping[int, int],
+    *,
+    seed: int,
+    round_no: int,
+    exclude: Sequence[int] = (),
+    skip: Mapping[int, int] | None = None,
 ) -> DataFrame:
-    """Distributed decisions: partition ``pid`` of ``piece`` keeps its first
-    ``keep[pid]`` rows in the order of ``in_order``, so the same (seed,
-    round) keeps the same rows. The rows at the addresses in ``exclude``
-    (a few, listed inline) are dropped first, so a count ranks only the
-    rows left; the other partitions keep every row not excluded. One pass,
-    no shuffle; the rows are ranked only when some count is positive."""
+    """Distributed decisions: partition ``pid`` of ``piece`` keeps the
+    ``keep[pid]`` rows at positions ``skip[pid] ..`` (0 if not given) of
+    the order of ``in_order``, so the same (seed, round) keeps the same
+    rows. The rows at the addresses in ``exclude`` (a few, listed inline)
+    are dropped first, so positions count only the rows left; the other
+    partitions keep every row not excluded. One pass, no shuffle; the rows
+    are ranked only when some count is positive."""
     if not keep and not len(exclude):
         return piece
     if any(keep.values()):
         rows = ranked(piece, seed=seed, round_no=round_no, exclude=exclude)
     else:
         rows = _without(piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}"), exclude)
-    picked = {pid: f"({RANK} & {_OFFSET_MASK}) < {k}" if k else "false" for pid, k in keep.items()}
+    skip = skip or {}
+    picked = {}
+    for pid, k in keep.items():
+        first = skip.get(pid, 0)
+        picked[pid] = f"({RANK} & {_OFFSET_MASK}) BETWEEN {first} AND {first + k - 1}" if k else "false"
     return _by_partition(rows, picked, piece.columns)
 
 

@@ -11,7 +11,7 @@ co-partitioned or simulated key-value reservoir (see
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
@@ -74,8 +74,10 @@ class DRTBS(RTBS):
         return self.latent.full
 
     @property
-    def partial(self) -> dict[str, Any] | None:
-        """The partial item, a row as a dict, or None."""
+    def partial(self) -> Mapping[str, Any] | None:
+        """The partial item, a row as a mapping, or None. A co-partitioned
+        reservoir's is a ``reservoir.LazyRow``: its values are read from
+        Spark only when something reads them."""
         return self.latent.partial
 
     def advance(self, batch_df: DataFrame, dt: float = 1.0) -> None:
@@ -94,10 +96,13 @@ class DRTBS(RTBS):
         self._advance(batch_df, reservoir.partition_sizes(batch_df), dt)
 
     def sample_pandas(self, rng: np.random.Generator | None = None):
-        """Realize S_t as a pandas DataFrame (eq. (2))."""
+        """Realize S_t as a pandas DataFrame (eq. (2)). A drawn partial item
+        whose values were not read yet is read in the job that realizes
+        the full items."""
         import pandas as pd
 
-        out = self.reservoir.to_pandas()
-        if self.latent.draw_partial(rng if rng is not None else self.rng):
-            out = pd.concat([out, pd.DataFrame([self.partial])], ignore_index=True)
-        return out
+        if not self.latent.draw_partial(rng if rng is not None else self.rng):
+            return self.reservoir.to_pandas()
+        if isinstance(self.partial, reservoir.LazyRow) and not self.partial.read:
+            return self.reservoir.to_pandas(self.partial)
+        return pd.concat([self.reservoir.to_pandas(), pd.DataFrame([self.partial])], ignore_index=True)

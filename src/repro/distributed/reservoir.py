@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +61,56 @@ from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches t
 from repro.rng import make_rng, sample_without_replacement
 
 
+@dataclass(frozen=True)
+class Place:
+    """Where a row ``extract_one`` took was stored: partition ``pid`` of the
+    store's ``piece``, at ``offset`` or, if that is None, at position
+    ``rank`` of the partition's ``rand`` order once the rows at the offsets
+    ``excluded`` are dropped (the positions ``common.ranked`` counts)."""
+
+    piece: Any
+    pid: int
+    offset: int | None = None
+    rank: int = 0
+    excluded: tuple[int, ...] = ()
+
+
+class LazyRow(Mapping):
+    """A row ``extract_one`` took from a stored partition, known by its
+    ``place`` until something reads its values. The first read resolves
+    them (``resolve(place)``, one Spark job) and keeps them. Testing it
+    against None, putting it back with ``insert_rows``, a merge and
+    ``clear()`` read nothing: a row put back stays a ``LazyRow`` that the
+    store realizes from its place."""
+
+    def __init__(self, place: Place, resolve: Callable[[Place], Mapping[str, Any]]):
+        self.place = place
+        self._resolve = resolve
+        self._row: Mapping[str, Any] | None = None
+
+    @property
+    def read(self) -> bool:
+        return self._row is not None
+
+    def fill(self, row: Mapping[str, Any]) -> None:
+        """Keep ``row``, read in a job that realized this row anyway."""
+        self._row = row
+
+    def _values(self) -> Mapping[str, Any]:
+        if self._row is None:
+            self._row = self._resolve(self.place)
+        return self._row
+
+    def __getitem__(self, key: str) -> Any:
+        return self._values()[key]
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __len__(self) -> int:
+        return len(self._values())
+
+
 class PendingDecisions:
     """The co-partitioned reservoir's items between merges, composed on the
     driver in plain Python.
@@ -69,13 +120,17 @@ class PendingDecisions:
     rows ``held``. Stored partition ``j`` holds ``keep[j]`` items. Which
     rows are the items depends on the decision strategy:
 
-    * distributed: the first ``keep[j]`` rows not excluded, in an order of
-      the partition's rows drawn at random when it was stored (Spark's
-      ``rand`` over its piece, ``common.in_order``); ``excluded[j]`` lists
-      the offsets of the rows ``extract_one`` took from it;
+    * distributed: the partition's rows have an order drawn at random when
+      it was stored (Spark's ``rand`` over its piece, ``common.in_order``).
+      ``excluded[j]`` lists the offsets of the rows ``extract_one`` took
+      while every row not excluded was an item. Once a keep is pending on
+      the partition (``_ranked``), the items are the rows at positions
+      ``lo[j] .. lo[j] + keep[j] - 1`` of that order, counted after the
+      exclusions; an extract takes position ``lo[j]`` and moves ``lo[j]``
+      up, excluding no address;
     * centralized: the rows at the offsets ``offsets(j)``, drawn on the
       driver (every row until a decision touches the partition), which an
-      extract leaves out; ``excluded[j]`` stays empty.
+      extract leaves out.
 
     The reservoir operations change only these, with draws from ``rng``
     through ``distributed_counts`` or ``central_positions``. A keep keeps
@@ -86,7 +141,8 @@ class PendingDecisions:
     order are a uniform k-subset, and given that subset, the order within
     it is still uniform, so its first row is a uniform member of it and
     the rest a uniform subset; a uniform subset of a uniform subset is a
-    uniform subset.
+    uniform subset. An extract names its row by place only (``take``), so
+    it reads nothing from the store.
     """
 
     def __init__(self, rng: np.random.Generator, strategy: str = "dist"):
@@ -99,9 +155,12 @@ class PendingDecisions:
     def clear(self) -> None:
         self.stored: list[int] = []
         self.keep: list[int] = []
-        self.excluded: list[list[int]] = []  # sorted offsets, per stored partition
-        self.kept: list[np.ndarray | None] = []  # centralized: offsets(j), None for all
         self.held: list[Any] = []
+        if self.strategy == "dist":
+            self.lo: list[int] = []  # position of each partition's first item in its order
+            self.excluded: list[list[int]] = []  # sorted offsets, per stored partition
+        else:
+            self.kept: list[np.ndarray | None] = []  # offsets(j), None for all
 
     @property
     def sizes(self) -> list[int]:
@@ -116,9 +175,8 @@ class PendingDecisions:
     def due(self, max_partitions: int) -> bool:
         """Whether the reservoir should merge: it has more than
         ``max_partitions`` partitions, or as many excluded rows as
-        ``common.keep_first`` lists inline (distributed decisions only:
-        centralized ones exclude no row)."""
-        n_excluded = sum(map(len, self.excluded))
+        ``common.keep_first`` lists inline (distributed decisions only)."""
+        n_excluded = sum(map(len, self.excluded)) if self.strategy == "dist" else 0
         return len(self.sizes) > max_partitions or n_excluded >= INLINE_ADDRESSES
 
     def offsets(self, j: int) -> np.ndarray:
@@ -126,20 +184,25 @@ class PendingDecisions:
         kept = self.kept[j]
         return np.arange(self.stored[j]) if kept is None else kept
 
+    def _ranked(self, j: int) -> bool:
+        """Distributed: whether a keep is pending on stored partition j, so
+        that only its order says which rows are items."""
+        return self.lo[j] + self.keep[j] < self.stored[j] - len(self.excluded[j])
+
     def add(self, sizes: Sequence[int], picks: Sequence[Any] | None = None) -> None:
         """Store new partitions of ``sizes`` rows; the items are the rows
         ``picks`` (a ``_draw`` over ``sizes``) names, or all of them."""
-        if picks is None:
+        self.stored += list(sizes)
+        if self.strategy == "dist":
+            self.keep += list(sizes if picks is None else picks)
+            self.lo += [0] * len(sizes)
+            self.excluded += [[] for _ in sizes]
+        elif picks is None:
             self.keep += list(sizes)
-            self.kept += [None] * len(sizes)
-        elif self.strategy == "dist":
-            self.keep += list(picks)
             self.kept += [None] * len(sizes)
         else:
             self.keep += [len(p) for p in picks]
             self.kept += list(picks)
-        self.stored += list(sizes)
-        self.excluded += [[] for _ in sizes]
 
     def merged(self, sizes: Sequence[int]) -> None:
         """The items were rewritten into partitions of ``sizes`` rows."""
@@ -181,29 +244,12 @@ class PendingDecisions:
     def keep_random(self, k: int) -> None:
         self._take(self._draw(self.sizes, k))
 
-    def _offset(self, pid: int, index: int) -> int | None:
-        """The offset of an item of stored partition ``pid`` drawn by the
-        uniform ``index``, or None for the first item in the partition's
-        order (distributed, a keep pending on the partition: only that
-        order says which rows are items)."""
-        if self.strategy == "cent":
-            return int(self.offsets(pid)[index])
-        excluded = self.excluded[pid]
-        if self.keep[pid] < self.stored[pid] - len(excluded):
-            return None
-        offset = index
-        for e in excluded:  # every row not excluded is an item
-            if e > offset:
-                break
-            offset += 1
-        return offset
-
-    def extract_one(self, fetch: Callable[[int, int | None], tuple[Any, int]]) -> Any:
+    def extract_one(self, take: Callable[..., Any]) -> Any:
         """Remove and return a uniform item: a partition drawn in proportion
-        to its items, then a uniform item of it. A stored row is read by
-        ``fetch(partition, offset)``, which returns it and its offset
-        (``offset`` None: the partition's first item in its order). It is
-        then set aside."""
+        to its items, then a uniform item of it. A stored row is named by
+        ``take(partition, offset)`` or, for a distributed partition with a
+        keep pending, ``take(partition, rank=, excluded=)``: the first item
+        in its order, uniform over them given the item set."""
         slot = int(self.rng.integers(self.count))
         for pid, size in enumerate(self.sizes):
             if slot < size:
@@ -211,11 +257,21 @@ class PendingDecisions:
             slot -= size
         if pid == len(self.keep):
             return self.held.pop(slot)
-        item, offset = fetch(pid, self._offset(pid, slot))
         if self.strategy == "cent":
-            self.kept[pid] = np.delete(self.offsets(pid), slot)
+            offsets = self.offsets(pid)
+            self.kept[pid] = np.delete(offsets, slot)
+            item = take(pid, int(offsets[slot]))
+        elif self._ranked(pid):
+            item = take(pid, rank=self.lo[pid], excluded=tuple(self.excluded[pid]))
+            self.lo[pid] += 1
         else:
+            offset = slot
+            for e in self.excluded[pid]:  # every row not excluded is an item
+                if e > offset:
+                    break
+                offset += 1
             bisect.insort(self.excluded[pid], offset)
+            item = take(pid, offset)
         self.keep[pid] -= 1
         return item
 
@@ -233,8 +289,8 @@ class SparkPieces:
     """The co-partitioned reservoir's rows in Spark: checkpointed frames,
     the *pieces*, in partition order (the last merge and every batch
     since), which no operation rewrites. Given the driver's
-    ``PendingDecisions``, it realizes the items as a lazy view, fetches one
-    of them, or merges them into one new piece."""
+    ``PendingDecisions``, it realizes the items as a lazy view, names a
+    stored row as a ``LazyRow``, or merges the items into one new piece."""
 
     def __init__(self, spark: SparkSession, *, seed: int):
         self.spark = spark
@@ -259,7 +315,8 @@ class SparkPieces:
     def view(self, pending: PendingDecisions) -> DataFrame | None:
         """The items as a lazy frame whose partitions hold
         ``pending.sizes`` rows: every piece with its pending decisions
-        applied, then the driver-held rows."""
+        applied, then the driver-held rows as one partition, in their
+        order."""
         if not self.frames and not pending.held:
             return None
         parts, first = [self._guard], 0
@@ -267,8 +324,7 @@ class SparkPieces:
             parts.append(self._apply(pending, frame, first, n_parts, op))
             first += n_parts
         if pending.held:
-            held = pd.DataFrame(pending.held, columns=self.schema.names)
-            parts.append(self.spark.createDataFrame(held, schema=self.schema).coalesce(1))
+            parts.append(functools.reduce(DataFrame.unionByName, map(self._one, pending.held)).coalesce(1))
         return functools.reduce(DataFrame.unionByName, parts)
 
     def _apply(
@@ -281,40 +337,60 @@ class SparkPieces:
         if pending.strategy == "cent":
             offsets = {pid: pending.offsets(first + pid) for pid, k in enumerate(keep) if k < stored[pid]}
             return keep_offsets(frame, offsets, stored)
-        excluded = pending.excluded[parts]
-        counts = {pid: k for pid, k in enumerate(keep) if k < stored[pid] - len(excluded[pid])}
-        exclude = addresses(dict(enumerate(excluded)))
-        return keep_first(frame, counts, seed=self.seed, round_no=op, exclude=exclude)
+        ranked = [pid for pid in range(n_parts) if pending._ranked(first + pid)]
+        counts = {pid: keep[pid] for pid in ranked}
+        skip = {pid: pending.lo[first + pid] for pid in ranked}
+        exclude = addresses(dict(enumerate(pending.excluded[parts])))
+        return keep_first(frame, counts, seed=self.seed, round_no=op, exclude=exclude, skip=skip)
 
-    def fetch(
-        self, pending: PendingDecisions, pid: int, offset: int | None
-    ) -> tuple[dict[str, Any], int]:
-        """The row at ``offset`` of stored partition ``pid`` or, if that is
-        None, its first row not excluded in the piece's ``rand`` order,
-        with the values and types of a ``to_pandas()`` row, and its
-        offset. One Spark job over the piece, a filter on the address or a
-        top-1 (the first fetch adds one to learn the pandas dtypes)."""
-        excluded, stored = pending.excluded[pid], pending.stored[pid]
-        for frame, n_parts, op in self.frames:
-            if pid < n_parts:
+    def row(self, pid: int, offset: int | None = None, *, rank: int = 0, excluded: Sequence[int] = ()) -> LazyRow:
+        """Stored partition ``pid``'s row at ``offset`` or, if that is None,
+        at position ``rank`` of its order less the rows at ``excluded``, as
+        a ``LazyRow`` that ``fetch`` resolves. No Spark job."""
+        for piece in self.frames:
+            if pid < piece[1]:
                 break
-            pid -= n_parts
+            pid -= piece[1]
         else:
             raise IndexError(pid)
-        base = int(addresses({pid: [0]})[0])
-        if offset is None:
-            rows = in_order(frame, seed=self.seed, round_no=op, exclude=addresses({pid: excluded}))
-            rows = rows.filter(f"{ROW} >= {base} AND {ROW} < {base + stored}")
-            rows = rows.orderBy(F.expr(RAND)).limit(1)
+        return LazyRow(Place(piece, pid, offset, rank, tuple(excluded)), self.fetch)
+
+    def _select(self, place: Place) -> DataFrame:
+        """The row at ``place`` as a lazy frame of one partition: a top-1
+        over its piece, by address or in the partition's ``rand`` order.
+        The top-1 (not a bare filter) ends in a shuffle, so its partition
+        reports no block location, as local data does: a partition that
+        reports one changes the groups of the merge's locality-aware
+        ``coalesce``."""
+        frame, _, op = place.piece
+        base, end = (int(addresses({pid: [0]})[0]) for pid in (place.pid, place.pid + 1))
+        if place.offset is None:
+            exclude = addresses({place.pid: place.excluded})
+            rows = in_order(frame, seed=self.seed, round_no=op, exclude=exclude)
+            rows, key = rows.filter(f"{ROW} >= {base} AND {ROW} < {end}"), RAND
         else:
             rows = frame.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
-            rows = rows.filter(f"{ROW} = {base + offset}")
-        (row,) = rows.selectExpr(*[f"`{c}`" for c in frame.columns], ROW).collect()
+            rows, key = rows.filter(f"{ROW} = {base + place.offset}"), ROW
+        rows = rows.orderBy(F.expr(key)).limit(place.rank + 1).offset(place.rank)
+        return rows.selectExpr(*[f"`{c}`" for c in frame.columns])
+
+    def _one(self, row: Any) -> DataFrame:
+        """A held row as a lazy frame of one partition: a ``LazyRow`` read
+        from its place, any other row from local data."""
+        if isinstance(row, LazyRow):
+            return self._select(row.place)
+        local = pd.DataFrame([row], columns=self.schema.names)
+        return self.spark.createDataFrame(local, schema=self.schema).coalesce(1)
+
+    def fetch(self, place: Place) -> dict[str, Any]:
+        """The values of the row at ``place``, with the types of a
+        ``to_pandas()`` row: one Spark job (the first fetch adds one to
+        learn the pandas dtypes)."""
+        (row,) = self._select(place).collect()
         # every non-null value cast to its column's pandas dtype
         item, empty = row.asDict(), self._empty_items()
-        offset = int(item.pop(ROW)) - base
         dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
-        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0]), offset
+        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
 
     def merge(self, view: DataFrame, P: int) -> list[int]:
         """Rewrite the items into one piece of at most ``P`` partitions in
@@ -332,7 +408,15 @@ class SparkPieces:
             self._empty = self.spark.createDataFrame([], self.schema).toPandas()
         return self._empty
 
-    def to_pandas(self, view: DataFrame | None) -> pd.DataFrame:
+    def to_pandas(self, view: DataFrame | None, rows: Sequence[LazyRow] = ()) -> pd.DataFrame:
+        """The items of ``view``, then ``rows``, realized in one Spark job;
+        each of ``rows`` keeps the values read for it."""
+        if rows:
+            frames = ([view] if view is not None else []) + [self._select(r.place) for r in rows]
+            out = functools.reduce(DataFrame.unionByName, frames).toPandas()
+            for i, row in enumerate(rows, start=len(out) - len(rows)):
+                row.fill(dict(out.iloc[i]))
+            return out
         if view is not None:
             return view.toPandas()
         if self.schema is None:
@@ -347,29 +431,33 @@ class CoPartitionedReservoir:
     merge and every batch since — which no operation rewrites. Reservoir
     partitions coincide with the pieces' partitions (the automatic
     co-partitioning of Sec. 5.2), and the driver's ``PendingDecisions``
-    say which of their rows are items: per partition, a keep count over a
+    say which of their rows are items: per partition, a window of a
     random order of its rows and the addresses ``extract_one`` set aside
-    (distributed decisions) or the kept offsets (centralized), and the
-    rows ``insert_rows`` put back, which stay on the driver. ``sizes`` (items
-    per partition) and ``count`` are read there, with no Spark job. An
-    operation only drops items or adds rows, so every view of the items
-    between merges agrees with the ones before it.
+    before a keep (distributed decisions) or the kept offsets
+    (centralized), and the rows ``insert_rows`` put back, which stay on
+    the driver. ``sizes`` (items per partition) and ``count`` are read
+    there, with no Spark job. An operation only drops items or adds rows,
+    so every view of the items between merges agrees with the ones before
+    it.
 
-    Spark jobs, as measured: ``keep_random``, ``insert_rows``, and
-    ``insert_all`` and ``replace_random`` given a batch the caller sized
-    (``DRTBS.advance`` sizes it in one job), run none; ``extract_one``
-    runs 1 over the picked row's partition — a filter on its address, or,
-    for a distributed partition with a keep pending, a top-1 of its
-    ``rand`` order — or none when the pick is a driver-held row (the first
-    extract adds 1 to learn the pandas dtypes of an item). The reservoir
-    *merges* when it has more than ``4·P`` partitions or, for distributed
-    decisions, 64 excluded addresses (the ones ``common.keep_first``
-    lists inline): one pass (1 job; Cent-CP adds 1 to broadcast its offset
-    bitmaps) applies the pending decisions through ``common.keep_first``
-    or ``common.keep_offsets``, unions the held rows,
-    ``coalesce``-s to ``P`` partitions, reads their sizes through
-    ``DataFrame.observe`` and checkpoints. ``df`` is the lazy view of the
-    items that a merge checkpoints.
+    Spark jobs, as measured: ``keep_random``, ``insert_rows``,
+    ``extract_one``, and ``insert_all`` and ``replace_random`` given a
+    batch the caller sized (``DRTBS.advance`` sizes it in one job), run
+    none. ``extract_one`` returns a stored row as a ``LazyRow``, read in
+    1 job (a top-1 over its piece) when something first reads its values;
+    the first read adds 1 to learn the pandas dtypes of an item.
+    ``to_pandas`` runs 1, with the extracted rows it is given. The
+    reservoir *merges* when it has more than ``4·P`` partitions or, for
+    distributed decisions, 64 excluded addresses (the ones
+    ``common.keep_first`` lists inline): one pass (1 job) applies the
+    pending decisions through ``common.keep_first`` or
+    ``common.keep_offsets``, unions the held rows, ``coalesce``-s to
+    ``P`` partitions, reads their sizes through ``DataFrame.observe`` and
+    checkpoints. Cent-CP adds 1 job per piece that ships more than 64
+    offsets, to broadcast its bitmaps (a saturated Cent-CP round at 10k
+    rows, n = 20k, P = 4: 7 jobs when it merges five pieces). So a Dist-CP
+    D-R-TBS round runs 1 job per non-empty batch and 1 per merge. ``df``
+    is the lazy view of the items that a merge checkpoints.
 
     CRITICAL evaluation-order invariants: ``spark_partition_id()``,
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
@@ -453,12 +541,14 @@ class CoPartitionedReservoir:
         self.pending.keep_random(k)
         self._changed()
 
-    def extract_one(self) -> dict[str, Any] | None:
+    def extract_one(self) -> Mapping[str, Any] | None:
         """Remove and return one uniformly random item (for the latent
-        sample's partial-item moves)."""
+        sample's partial-item moves): a stored row as a ``LazyRow``, read
+        only when something reads its values, or a held row as it was put
+        back."""
         if self.count == 0:
             return None
-        item = self.pending.extract_one(functools.partial(self.pieces.fetch, self.pending))
+        item = self.pending.extract_one(self.pieces.row)
         self._changed()
         return item
 
@@ -485,8 +575,10 @@ class CoPartitionedReservoir:
         self.pieces.clear()
         self._df = None
 
-    def to_pandas(self) -> pd.DataFrame:
-        return self.pieces.to_pandas(self.df)
+    def to_pandas(self, *rows: LazyRow) -> pd.DataFrame:
+        """The items, then ``rows`` (rows extracted earlier), realized in
+        one Spark job."""
+        return self.pieces.to_pandas(self.df, rows)
 
 
 class KVReservoir:

@@ -236,6 +236,22 @@ class TestSelectRandomPerPartition:
             dropped = {keys[pid][3]} if pid in gone else set()
             assert rest[pid] == [k for k in keys_in_order if k not in dropped], pid
 
+    def test_skip_keeps_a_window_of_the_order(self, df40):
+        """With ``skip``, a count keeps the rows at positions ``skip ..
+        skip + count - 1`` of ``ranked``'s order, counted after the
+        exclusions; a partition without a count keeps every row not
+        excluded."""
+        sizes = partition_sizes(df40)
+        excluded = {pid: np.array([1]) for pid, size in enumerate(sizes) if size > 6}
+        exclude = addresses(excluded)
+        rows = ranked(df40, seed=0, round_no=8, exclude=exclude).toPandas()
+        order = {pid: list(g.sort_values("__rank")["k"]) for pid, g in rows.groupby(rows["__rank"].to_numpy() >> 33)}
+        keep, skip = {0: 3, 1: 0}, {0: 2, 1: 4}
+        kept = keys_by_partition(keep_first(df40, keep, seed=0, round_no=8, exclude=exclude, skip=skip))
+        assert kept[0] == sorted(order[0][2:5]) and kept[1] == []
+        for pid in range(2, len(sizes)):
+            assert kept[pid] == sorted(order[pid]), pid
+
     def test_same_round_same_rows(self, spark, df40):
         sizes = partition_sizes(df40)
         keep = every(distributed_counts(make_rng(6), sizes, 18), len(sizes), 0)

@@ -205,7 +205,7 @@ class TestArrowOff:
     def test_same_sample_without_arrow(self, spark, kw):
         """Spark leaves Arrow off by default. Every variant runs without
         it, through an overshoot, a saturated round whose centralized
-        picks exceed 64 (the bitmap path of ``common.select``), an empty
+        picks exceed 64 (the bitmap path of ``common.keep_offsets``), an empty
         batch and an undershoot that puts the partial item back, and
         realizes the sample of an Arrow-on run with the same seed."""
         lam, n = 1.0, 100
@@ -258,10 +258,11 @@ def typed_batch(spark, size):
 
 
 class TestOnePassExtract:
-    """``extract_one`` on the co-partitioned reservoir: one small Spark
-    job over the picked row's piece, by its address or, with a keep still
-    pending, as the first item of its partition's ``rand`` order, and no
-    rewrite of the rest."""
+    """``extract_one`` on the co-partitioned reservoir: no Spark job. The
+    driver names the picked row by its address or, with a keep still
+    pending, by its position in its partition's ``rand`` order; one small
+    job over its piece reads it when something reads its values, and the
+    rest is never rewritten."""
 
     @staticmethod
     def filled(spark, strategy):
@@ -271,14 +272,13 @@ class TestOnePassExtract:
         return R, batch.toPandas()
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
-    def test_case3_downsample_is_one_job(self, spark, strategy):
-        """The keep only changes the driver's decisions; the extract
-        fetches its row in one job."""
+    def test_case3_downsample_runs_no_job(self, spark, strategy):
+        """The keep and the extract only change the driver's decisions;
+        the extracted row is read when its values are."""
         R, source = self.filled(spark, strategy)
-        R.extract_one()  # the first extract also learns the pandas dtypes
         sc = spark.sparkContext
         item, jobs = jobs_in(sc, f"case3-{strategy}", lambda: (R.keep_random(12), R.extract_one())[1])
-        assert jobs == 1
+        assert jobs == 0
         assert R.count == 11 and R.sizes == R.df.rdd.glom().map(len).collect()
         rest = R.to_pandas()
         assert item["i"] not in set(rest["i"]) and item["i"] in set(source["i"])
@@ -452,10 +452,103 @@ class TestRealizationNests:
         assert 0 < merges, "no merge"
 
 
+class TestLazyPartial:
+    """The co-partitioned reservoir's partial item is read from Spark only
+    when something reads its values: ejecting it, putting it back, a
+    merge and ``clear()`` do not, and when it is read changes nothing."""
+
+    SCHED = [(8, 1.0), (30, 1.0), (10, 1.0), (0, 1.0), (3, 2.5), (6, 1.0), (12, 1.0),
+             (9, 1.0), (0, 0.5), (0, 12.0), (14, 1.0), (5, 1.0), (0, 1.0), (25, 0.0), (0, 2.5), (4, 1.0)]
+
+    @staticmethod
+    def play(spark, kw, P, read):
+        """D-R-TBS over ``SCHED``; ``read`` reads the partial item's values
+        and a realized sample after every round. Returns the sampler and
+        the number of merges and clears."""
+        d = DRTBS(spark, 0.3, 20, seed=6, target_partitions=P, **kw)
+        res, counts = d.reservoir, {"_merge": 0, "clear": 0}
+        for name in counts:
+
+            def counted(op=getattr(res, name), name=name):
+                counts[name] += 1
+                return op()
+
+            setattr(res, name, counted)
+        sc = spark.sparkContext
+        for t, (b, dt) in enumerate(TestLazyPartial.SCHED):
+            d.advance(range_batch(spark, t, b, 4), dt=dt)
+            present, jobs = jobs_in(sc, f"lazy-{kw['strategy']}-{P}-{read}-{t}", lambda: d.partial is not None)
+            assert jobs == 0 and present == (d.sample_weight % 1 > 1e-9), t
+            if read:
+                if present:
+                    dict(d.partial)
+                d.sample_pandas(rng=np.random.default_rng(t))
+        return d, counts
+
+    @pytest.mark.parametrize("P", [1, 4])
+    @pytest.mark.parametrize("kw", VARIANTS[:2], ids=IDS[:2])
+    def test_read_late_or_early(self, spark, kw, P):
+        """Reading the partial item after every round, or only at the end,
+        gives the same partial item, dtypes and all, and the same realized
+        sample, through merges and a Case-1 ``clear()``. A realized sample
+        runs 1 Spark job whether or not it draws the unread partial item."""
+        early, counts = self.play(spark, kw, P, read=True)
+        late, late_counts = self.play(spark, kw, P, read=False)
+        assert counts == late_counts and counts["_merge"] > 0 and counts["clear"] > 0, counts
+        assert late.partial is not None and not late.partial.read
+        draws = [np.random.default_rng(seed).random() < late.sample_weight % 1 for seed in range(40)]
+        seed, other = draws.index(True), draws.index(False)
+        group, sc = f"sample-{kw['strategy']}-{P}", spark.sparkContext
+        without, jobs = jobs_in(sc, group + "-without", lambda: late.sample_pandas(rng=np.random.default_rng(other)))
+        assert jobs == 1 and len(without) == late.reservoir.count and not late.partial.read
+        got, jobs = jobs_in(sc, group + "-with", lambda: late.sample_pandas(rng=np.random.default_rng(seed)))
+        assert jobs == 1 and late.partial.read and len(got) == late.reservoir.count + 1
+        pd.testing.assert_frame_equal(got, early.sample_pandas(rng=np.random.default_rng(seed)))
+        a, b = dict(early.partial), dict(late.partial)
+        assert a == b and [type(v) for v in a.values()] == [type(v) for v in b.values()]
+        pd.testing.assert_frame_equal(pd.DataFrame([a]), pd.DataFrame([b]))
+        pd.testing.assert_frame_equal(late.reservoir.to_pandas(), early.reservoir.to_pandas())
+
+    @pytest.mark.parametrize("P", [1, 4])
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_put_back_row_survives_merge(self, spark, strategy, P):
+        """A row Swap1 puts back unread, then a merge rewrites, comes back
+        with its values and pandas dtypes; the lazy row itself reads them
+        from the piece it was taken from."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=5, target_partitions=P)
+        batch = typed_batch(spark, 40)
+        R.insert_all(batch, partition_sizes(batch))
+        source = batch.toPandas().set_index("i", drop=False)
+        R.keep_random(30)
+        row = R.extract_one()
+        R.insert_rows([row])  # Swap1's put-back, unread
+        for k in range(1, 5 * P):
+            if not R.pending.held:  # merged
+                break
+            more = spark.range(100 * k, 100 * k + 4, 1, 1).selectExpr(*TYPED_COLUMNS).localCheckpoint(eager=True)
+            R.insert_all(more, [4])
+        assert not R.pending.held and not row.read, "no merge"
+        items = R.to_pandas().set_index("i", drop=False)
+        assert R.sizes == R.df.rdd.glom().map(len).collect()
+        ours = items.loc[items.index < 40].sort_index()
+        pd.testing.assert_frame_equal(ours, source.loc[ours.index])
+        i = row["i"]
+        assert i in ours.index
+        for col, value in row.items():
+            want = source.loc[i, col]
+            assert value == want and type(value) is type(want), col
+        while True:  # extract until the row comes back, read from the merged piece
+            item = R.extract_one()
+            if item["i"] == i and item["t"] == row["t"]:
+                break
+        assert dict(item) == dict(row)
+        assert [type(v) for v in item.values()] == [type(v) for v in row.values()]
+
+
 class TestJobsPerRound:
     """Spark jobs of Dist-CP D-R-TBS rounds, read from ``statusTracker``:
-    one to size a non-empty batch, one per extract whose row is stored in
-    a piece, and one more when the reservoir merges."""
+    one to size a non-empty batch and one more when the reservoir merges.
+    An extract runs none: no row is fetched during a round."""
 
     def test_bursty_rounds(self, spark, monkeypatch):
         from repro.distributed import reservoir
@@ -481,8 +574,8 @@ class TestJobsPerRound:
             counted = len(sizings), len(fetches), len(merges)
             _, jobs = jobs_in(sc, f"bursty-{t}", lambda: sampler.advance(batch))
             sized, fetched, merged = (len(x) - c for x, c in zip((sizings, fetches, merges), counted))
-            assert sized == 1 and merged <= 1, (t, sized, merged)
-            assert jobs == (b > 0) + fetched + merged, (t, b, jobs, fetched, merged)
+            assert sized == 1 and merged <= 1 and fetched == 0, (t, sized, merged, fetched)
+            assert jobs == (b > 0) + merged, (t, b, jobs, merged)
             rows = sizes_of(res.df)  # glom() lengths, counted in the JVM
             assert res.sizes == rows and sum(rows) == math.floor(sampler.sample_weight + 1e-9), t
             assert len(res.sizes) <= 4 * P + P, (t, res.sizes)
@@ -490,36 +583,49 @@ class TestJobsPerRound:
         assert len(merges) >= 3, "a cycle without a merge"
 
     def test_excluded_addresses_merge_at_64(self, spark):
-        """The 64th extract of a stored row merges the reservoir, in one
-        more job, so ``select`` always lists its exclusions inline."""
+        """Only an extract from a partition with no keep pending excludes an
+        address; after a keep, an extract takes the next position of its
+        partition's order. The 64th excluded address merges the
+        reservoir, the one job of that extract, so ``common.keep_first``
+        always lists its exclusions inline."""
         R = CoPartitionedReservoir(spark, strategy="dist", seed=1, target_partitions=2)
-        batch = range_batch(spark, 0, 200, 2)
-        R.insert_all(batch, partition_sizes(batch))
-        R.extract_one()  # the first extract also learns the pandas dtypes
+        kept, unkept = range_batch(spark, 0, 200, 2), range_batch(spark, 1, 200, 2)
+        R.insert_all(kept, partition_sizes(kept))
+        R.keep_random(150)
+        R.insert_all(unkept, partition_sizes(unkept))
         sc = spark.sparkContext
-        for k in range(2, 65):
+        by_position = 0
+        for k in range(1, 300):
+            excluded, moved = sum(map(len, R.pending.excluded)), sum(R.pending.lo)
             _, jobs = jobs_in(sc, f"cap-{k}", R.extract_one)
-            excluded = sum(map(len, R.pending.excluded))
-            assert (jobs, excluded) == ((1, k) if k < 64 else (2, 0)), k
-        assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 136
+            if len(R.pieces.frames) == 1:
+                assert (jobs, excluded + 1, sum(map(len, R.pending.excluded))) == (1, 64, 0), k
+                break
+            assert jobs == 0, k
+            after = sum(map(len, R.pending.excluded)), sum(R.pending.lo)
+            assert after in {(excluded + 1, moved), (excluded, moved + 1)}, (k, after)
+            by_position += after[1] > moved
+        else:
+            pytest.fail("no merge")
+        assert 0 < by_position == k - 64, (by_position, k)
+        assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 350 - k
 
 
 class TestCentralizedExtracts:
     def test_extracts_never_merge(self, spark, monkeypatch):
         """Centralized decisions leave an extracted row out of the kept
         offsets and exclude no address, so no number of extracts makes the
-        reservoir merge: each extract of a stored row runs 1 job."""
+        reservoir merge: an extract of a stored row runs no job."""
         R = CoPartitionedReservoir(spark, strategy="cent", seed=1, target_partitions=2)
         batch = range_batch(spark, 0, 200, 2)
         R.insert_all(batch, partition_sizes(batch))
         merges = []
         merge = R._merge
         monkeypatch.setattr(R, "_merge", lambda: merges.append(1) or merge())
-        R.extract_one()  # the first extract also learns the pandas dtypes
         sc = spark.sparkContext
-        for k in range(2, 71):
+        for k in range(1, 71):
             _, jobs = jobs_in(sc, f"cent-{k}", R.extract_one)
-            assert (jobs, merges) == (1, []), k
+            assert (jobs, merges) == (0, []), k
         assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 130
 
 

@@ -5,11 +5,14 @@ decisions on the driver (``PendingDecisions``) and picks rows only when
 its store realizes them. Here ``ListPieces``, Python lists in place of
 the Spark store, realizes them as ``SparkPieces`` does: a batch's
 partitions are stored whole, each with a random order of its rows drawn
-when it is stored (Spark's ``rand`` over a checkpointed piece), and a
-merge concatenates whole partitions into ``P``. Over many seeds, the
-realized latent sample (items in A, items extracted as π) must have the
-law it has in a ``ListReservoir``, and after every operation the items
-must be some of the items before it plus the rows it added.
+when it is stored (Spark's ``rand`` over a checkpointed piece), a merge
+concatenates whole partitions into ``P``, and an extract returns a
+``LazyRow`` that names its row by place, which ``insert_rows`` puts back
+as it is and which is read only after later keeps, merges and clears.
+Over many seeds, the realized latent sample (items in A, items extracted
+as π) must have the law it has in a ``ListReservoir``, and after every
+operation the items must be some of the items before it plus the rows it
+added.
 """
 from collections import Counter
 
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.latent import ListReservoir
-from repro.distributed.reservoir import CoPartitionedReservoir
+from repro.distributed.reservoir import CoPartitionedReservoir, LazyRow, Place
 from tbsbench.checks import chi2_sf
 
 P = 1  # merge above 4 partitions, so some ops compose and some merge
@@ -27,7 +30,9 @@ STRATEGIES = ["dist", "cent"]
 
 
 class ListPieces:
-    """``SparkPieces`` with Python lists for its pieces."""
+    """``SparkPieces`` with Python lists for its pieces. A row's place
+    holds its partition's rows and order as they were when it was
+    named."""
 
     def __init__(self, rng):
         self.rng = rng  # draws each stored partition's order
@@ -45,27 +50,23 @@ class ListPieces:
             self.orders.append(self.rng.permutation(size).tolist())
             start += size
 
-    def _order(self, pending, j):
-        """The offsets of partition j's rows not excluded, in its order."""
-        return [off for off in self.orders[j] if off not in pending.excluded[j]]
-
     def view(self, pending):
         parts = []
         for j, rows in enumerate(self.parts):
             if pending.strategy == "dist":
-                offsets = self._order(pending, j)[: pending.keep[j]]
+                order = [off for off in self.orders[j] if off not in pending.excluded[j]]
+                offsets = order[pending.lo[j] : pending.lo[j] + pending.keep[j]]
             else:
                 offsets = pending.offsets(j).tolist()
             assert len(offsets) == pending.keep[j]
             parts.append([rows[off] for off in sorted(offsets)])
         if pending.held:
-            parts.append(list(pending.held))
+            parts.append([value(row) for row in pending.held])
         return parts
 
-    def fetch(self, pending, pid, offset):
-        if offset is None:
-            offset = self._order(pending, pid)[0]
-        return self.parts[pid][offset], offset
+    def row(self, pid, offset=None, *, rank=0, excluded=()):
+        place = Place((self.parts[pid], self.orders[pid]), pid, offset, rank, tuple(excluded))
+        return LazyRow(place, lambda place: {"label": at(place)})
 
     def merge(self, view, P):
         # coalesce: whole partitions grouped into at most P
@@ -73,6 +74,19 @@ class ListPieces:
         self.clear()
         self.add(sum(groups, []), [len(g) for g in groups])
         return [len(g) for g in groups]
+
+
+def at(place):
+    """The label stored at a ``ListPieces`` place, read without keeping it."""
+    rows, order = place.piece
+    if place.offset is None:
+        return rows[[off for off in order if off not in place.excluded][place.rank]]
+    return rows[place.offset]
+
+
+def value(item):
+    """An item's label: a ``LazyRow`` is read (and keeps it)."""
+    return item["label"] if isinstance(item, LazyRow) else item
 
 
 def list_reservoir(strategy, rng, order_rng):
@@ -128,17 +142,20 @@ def random_script(rng, n_ops, max_items=6):
 def run(script, reservoir):
     """Play the script; the outcome is (items left, items extracted).
     After every operation, the items are some of the items before it
-    plus the rows it added, and an extracted item was one of them."""
-    extracted, before = [], set()
+    plus the rows it added, and an extracted item was one of them. An
+    extracted ``LazyRow`` goes back through ``insert_rows`` as it is and
+    is read only at the end, to the label its place named at first."""
+    extracted, labels, before = [], [], set()
     for op, *args in script:
         added = set()
         if op == "extract_one":
             extracted.append(reservoir.extract_one())
-            assert extracted[-1] in before, (extracted[-1], before)
-            before.discard(extracted[-1])
+            labels.append(at(extracted[-1].place) if isinstance(extracted[-1], LazyRow) else extracted[-1])
+            assert labels[-1] in before, (labels[-1], before)
+            before.discard(labels[-1])
         elif op == "insert_rows":
             reservoir.insert_rows([extracted[-1]])
-            added = {extracted[-1]}
+            added = {labels[-1]}
         else:
             getattr(reservoir, op)(*args)
             if op in ("insert_all", "replace_random"):
@@ -146,7 +163,8 @@ def run(script, reservoir):
         after = set(items(reservoir))
         assert after <= before | added, (op, after, before, added)
         before = after
-    return tuple(sorted(before)), tuple(extracted)
+    assert [value(item) for item in extracted] == labels
+    return tuple(sorted(before)), tuple(labels)
 
 
 def homogeneity_p(a: Counter, b: Counter) -> float:
