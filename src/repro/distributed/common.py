@@ -37,12 +37,10 @@ Two decision strategies from the paper:
 * **Distributed** — the master samples only a per-partition *count*
   vector from the multivariate hypergeometric law
   (``distributed_counts``); ``keep_first`` orders each partition's rows
-  by ``rand(s)`` and keeps ``count`` consecutive rows of that order, the
-  first ones unless the driver says how many to skip. The
-  ``rand`` values are drawn over the frame's own rows before any excluded
-  row is dropped (``in_order``), so an exclusion never reorders the rest
-  and the co-partitioned reservoir's later picks nest in its earlier
-  ones. Spark seeds partition ``i``'s stream with ``s + i``, so ``s`` is
+  by ``rand(s)`` (``in_order``) and keeps a window of ``count``
+  consecutive rows of that order, from the position the driver gives, so
+  the co-partitioned reservoir's later windows nest in its earlier ones.
+  Spark seeds partition ``i``'s stream with ``s + i``, so ``s`` is
   derived from (seed, round) through a ``SeedSequence`` rather than as
   ``seed + round``, which would give round ``r``'s partition ``i + 1``
   the stream of round ``r + 1``'s partition ``i`` (the paper cites
@@ -67,7 +65,7 @@ _PID = "__pid"
 _BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
 _PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
 _OFFSET_MASK = (1 << _PID_SHIFT) - 1  # an address's offset bits
-INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
+_INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
 def partition_sizes(df: DataFrame) -> list[int]:
@@ -156,34 +154,19 @@ def _rand_seed(seed: int, round_no: int) -> int:
     return int(state[0] >> np.uint64(1))
 
 
-def _without(df: DataFrame, exclude: Sequence[int]) -> DataFrame:
-    """``df`` less the rows whose ``ROW`` is in ``exclude`` (a few,
-    listed inline)."""
-    if not len(exclude):
-        return df
-    return df.filter(f"{ROW} NOT IN ({', '.join(map(str, exclude))})")
-
-
-def in_order(
-    df: DataFrame, *, seed: int, round_no: int, exclude: Sequence[int] = ()
-) -> DataFrame:
+def in_order(df: DataFrame, *, seed: int, round_no: int) -> DataFrame:
     """``df`` with every row's address ``ROW`` and the ``rand(s)`` value
     ``RAND`` that orders its partition, ``s`` drawn from (seed, round_no),
-    less the rows at the addresses in ``exclude`` (a few, listed inline).
-    Both are drawn over ``df``'s own rows, before any row is dropped, so
-    the rows left keep their order whatever is excluded."""
-    out = df.selectExpr(
+    both drawn over ``df``'s own rows."""
+    return df.selectExpr(
         "*", f"monotonically_increasing_id() AS {ROW}", f"rand({_rand_seed(seed, round_no)}) AS {RAND}"
     )
-    return _without(out, exclude)
 
 
-def ranked(
-    df: DataFrame, *, seed: int, round_no: int, exclude: Sequence[int] = ()
-) -> DataFrame:
+def ranked(df: DataFrame, *, seed: int, round_no: int) -> DataFrame:
     """``in_order(df)`` with ``RANK``, every row's address once each
     partition is sorted by ``RAND``."""
-    out = in_order(df, seed=seed, round_no=round_no, exclude=exclude)
+    out = in_order(df, seed=seed, round_no=round_no)
     return out.sortWithinPartitions(F.expr(RAND)).selectExpr("*", f"monotonically_increasing_id() AS {RANK}")
 
 
@@ -198,32 +181,24 @@ def _by_partition(rows: DataFrame, picked: Mapping[int, str], columns: Sequence[
 
 
 def keep_first(
-    piece: DataFrame,
-    keep: Mapping[int, int],
-    *,
-    seed: int,
-    round_no: int,
-    exclude: Sequence[int] = (),
-    skip: Mapping[int, int] | None = None,
+    piece: DataFrame, windows: Mapping[int, tuple[int, int]], *, seed: int, round_no: int
 ) -> DataFrame:
     """Distributed decisions: partition ``pid`` of ``piece`` keeps the
-    ``keep[pid]`` rows at positions ``skip[pid] ..`` (0 if not given) of
-    the order of ``in_order``, so the same (seed, round) keeps the same
-    rows. The rows at the addresses in ``exclude`` (a few, listed inline)
-    are dropped first, so positions count only the rows left; the other
-    partitions keep every row not excluded. One pass, no shuffle; the rows
-    are ranked only when some count is positive."""
-    if not keep and not len(exclude):
+    ``count`` rows at positions ``first .. first + count - 1`` of the order
+    of ``in_order``, ``(first, count) = windows[pid]``, so the same (seed,
+    round) keeps the same rows; the other partitions keep every row. One
+    pass, no shuffle; the rows are ranked only when some count is
+    positive."""
+    if not windows:
         return piece
-    if any(keep.values()):
-        rows = ranked(piece, seed=seed, round_no=round_no, exclude=exclude)
+    if any(k for _, k in windows.values()):
+        rows = ranked(piece, seed=seed, round_no=round_no)
     else:
-        rows = _without(piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}"), exclude)
-    skip = skip or {}
-    picked = {}
-    for pid, k in keep.items():
-        first = skip.get(pid, 0)
-        picked[pid] = f"({RANK} & {_OFFSET_MASK}) BETWEEN {first} AND {first + k - 1}" if k else "false"
+        rows = piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
+    picked = {
+        pid: f"({RANK} & {_OFFSET_MASK}) BETWEEN {first} AND {first + k - 1}" if k else "false"
+        for pid, (first, k) in windows.items()
+    }
     return _by_partition(rows, picked, piece.columns)
 
 
@@ -232,7 +207,7 @@ def keep_offsets(piece: DataFrame, offsets: Mapping[int, np.ndarray], sizes: Seq
     rows) keeps only its rows at ``offsets[pid]``; the other partitions
     pass through. Each partition ships its smaller side: a keep of more
     than half its rows becomes a drop of the rest. Up to
-    ``INLINE_ADDRESSES`` shipped addresses are listed inline; more are
+    ``_INLINE_ADDRESSES`` shipped addresses are listed inline; more are
     broadcast as one bitmap per partition. One pass, no shuffle."""
     if not offsets:
         return piece
@@ -243,7 +218,7 @@ def keep_offsets(piece: DataFrame, offsets: Mapping[int, np.ndarray], sizes: Seq
         if len(offs):
             shipped[pid] = offs
     rows = piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
-    if sum(map(len, shipped.values())) > INLINE_ADDRESSES:
+    if sum(map(len, shipped.values())) > _INLINE_ADDRESSES:
         # One row per partition, whatever the number of picks: a bitmap
         # ships and probes faster than a broadcast table of addresses.
         bitmaps = piece.sparkSession.createDataFrame(

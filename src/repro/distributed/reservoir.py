@@ -35,7 +35,6 @@ every round, the co-partitioned reservoir only when it merges.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -46,7 +45,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches through it
-    INLINE_ADDRESSES,
     RAND,
     ROW,
     addresses,
@@ -65,14 +63,13 @@ from repro.rng import make_rng, sample_without_replacement
 class Place:
     """Where a row ``extract_one`` took was stored: partition ``pid`` of the
     store's ``piece``, at ``offset`` or, if that is None, at position
-    ``rank`` of the partition's ``rand`` order once the rows at the offsets
-    ``excluded`` are dropped (the positions ``common.ranked`` counts)."""
+    ``rank`` of the partition's ``rand`` order (the positions
+    ``common.ranked`` counts)."""
 
     piece: Any
     pid: int
     offset: int | None = None
     rank: int = 0
-    excluded: tuple[int, ...] = ()
 
 
 class LazyRow(Mapping):
@@ -121,13 +118,11 @@ class PendingDecisions:
     rows are the items depends on the decision strategy:
 
     * distributed: the partition's rows have an order drawn at random when
-      it was stored (Spark's ``rand`` over its piece, ``common.in_order``).
-      ``excluded[j]`` lists the offsets of the rows ``extract_one`` took
-      while every row not excluded was an item. Once a keep is pending on
-      the partition (``_ranked``), the items are the rows at positions
-      ``lo[j] .. lo[j] + keep[j] - 1`` of that order, counted after the
-      exclusions; an extract takes position ``lo[j]`` and moves ``lo[j]``
-      up, excluding no address;
+      it was stored (Spark's ``rand`` over its piece, ``common.in_order``),
+      and the items are the rows at positions ``lo[j] .. lo[j] + keep[j] -
+      1`` of that order: every row (``lo[j] = 0``, ``keep[j] = stored[j]``)
+      until a decision touches the partition. An extract takes position
+      ``lo[j]`` and moves ``lo[j]`` up;
     * centralized: the rows at the offsets ``offsets(j)``, drawn on the
       driver (every row until a decision touches the partition), which an
       extract leaves out.
@@ -158,7 +153,6 @@ class PendingDecisions:
         self.held: list[Any] = []
         if self.strategy == "dist":
             self.lo: list[int] = []  # position of each partition's first item in its order
-            self.excluded: list[list[int]] = []  # sorted offsets, per stored partition
         else:
             self.kept: list[np.ndarray | None] = []  # offsets(j), None for all
 
@@ -172,22 +166,10 @@ class PendingDecisions:
     def count(self) -> int:
         return sum(self.keep) + len(self.held)
 
-    def due(self, max_partitions: int) -> bool:
-        """Whether the reservoir should merge: it has more than
-        ``max_partitions`` partitions, or as many excluded rows as
-        ``common.keep_first`` lists inline (distributed decisions only)."""
-        n_excluded = sum(map(len, self.excluded)) if self.strategy == "dist" else 0
-        return len(self.sizes) > max_partitions or n_excluded >= INLINE_ADDRESSES
-
     def offsets(self, j: int) -> np.ndarray:
         """Centralized: the offsets of stored partition j's items."""
         kept = self.kept[j]
         return np.arange(self.stored[j]) if kept is None else kept
-
-    def _ranked(self, j: int) -> bool:
-        """Distributed: whether a keep is pending on stored partition j, so
-        that only its order says which rows are items."""
-        return self.lo[j] + self.keep[j] < self.stored[j] - len(self.excluded[j])
 
     def add(self, sizes: Sequence[int], picks: Sequence[Any] | None = None) -> None:
         """Store new partitions of ``sizes`` rows; the items are the rows
@@ -196,7 +178,6 @@ class PendingDecisions:
         if self.strategy == "dist":
             self.keep += list(sizes if picks is None else picks)
             self.lo += [0] * len(sizes)
-            self.excluded += [[] for _ in sizes]
         elif picks is None:
             self.keep += list(sizes)
             self.kept += [None] * len(sizes)
@@ -226,9 +207,9 @@ class PendingDecisions:
         return [np.setdiff1d(np.arange(size), idx) for size, idx in zip(self.sizes, picks)]
 
     def _take(self, picks: list[Any]) -> None:
-        """Keep the items ``picks`` names: a stored partition's first ones
-        in its order (distributed) or those at the given indices
-        (centralized), a uniform subset of the held rows."""
+        """Keep the items ``picks`` names: the first ones of a stored
+        partition's window of its order (distributed) or those at the
+        given indices (centralized), a uniform subset of the held rows."""
         n_stored = len(self.keep)
         if self.strategy == "dist":
             self.keep = picks[:n_stored]
@@ -247,9 +228,9 @@ class PendingDecisions:
     def extract_one(self, take: Callable[..., Any]) -> Any:
         """Remove and return a uniform item: a partition drawn in proportion
         to its items, then a uniform item of it. A stored row is named by
-        ``take(partition, offset)`` or, for a distributed partition with a
-        keep pending, ``take(partition, rank=, excluded=)``: the first item
-        in its order, uniform over them given the item set."""
+        ``take(partition, offset)`` (centralized) or ``take(partition,
+        rank=)`` (distributed): the first row of the partition's window,
+        uniform over its items given the item set."""
         slot = int(self.rng.integers(self.count))
         for pid, size in enumerate(self.sizes):
             if slot < size:
@@ -261,17 +242,9 @@ class PendingDecisions:
             offsets = self.offsets(pid)
             self.kept[pid] = np.delete(offsets, slot)
             item = take(pid, int(offsets[slot]))
-        elif self._ranked(pid):
-            item = take(pid, rank=self.lo[pid], excluded=tuple(self.excluded[pid]))
-            self.lo[pid] += 1
         else:
-            offset = slot
-            for e in self.excluded[pid]:  # every row not excluded is an item
-                if e > offset:
-                    break
-                offset += 1
-            bisect.insort(self.excluded[pid], offset)
-            item = take(pid, offset)
+            item = take(pid, rank=self.lo[pid])
+            self.lo[pid] += 1
         self.keep[pid] -= 1
         return item
 
@@ -334,26 +307,23 @@ class SparkPieces:
         applied: one filter over the checkpointed frame."""
         parts = slice(first, first + n_parts)
         stored, keep = pending.stored[parts], pending.keep[parts]
+        touched = [pid for pid, k in enumerate(keep) if k < stored[pid]]
         if pending.strategy == "cent":
-            offsets = {pid: pending.offsets(first + pid) for pid, k in enumerate(keep) if k < stored[pid]}
-            return keep_offsets(frame, offsets, stored)
-        ranked = [pid for pid in range(n_parts) if pending._ranked(first + pid)]
-        counts = {pid: keep[pid] for pid in ranked}
-        skip = {pid: pending.lo[first + pid] for pid in ranked}
-        exclude = addresses(dict(enumerate(pending.excluded[parts])))
-        return keep_first(frame, counts, seed=self.seed, round_no=op, exclude=exclude, skip=skip)
+            return keep_offsets(frame, {pid: pending.offsets(first + pid) for pid in touched}, stored)
+        windows = {pid: (pending.lo[first + pid], keep[pid]) for pid in touched}
+        return keep_first(frame, windows, seed=self.seed, round_no=op)
 
-    def row(self, pid: int, offset: int | None = None, *, rank: int = 0, excluded: Sequence[int] = ()) -> LazyRow:
+    def row(self, pid: int, offset: int | None = None, *, rank: int = 0) -> LazyRow:
         """Stored partition ``pid``'s row at ``offset`` or, if that is None,
-        at position ``rank`` of its order less the rows at ``excluded``, as
-        a ``LazyRow`` that ``fetch`` resolves. No Spark job."""
+        at position ``rank`` of its order, as a ``LazyRow`` that ``fetch``
+        resolves. No Spark job."""
         for piece in self.frames:
             if pid < piece[1]:
                 break
             pid -= piece[1]
         else:
             raise IndexError(pid)
-        return LazyRow(Place(piece, pid, offset, rank, tuple(excluded)), self.fetch)
+        return LazyRow(Place(piece, pid, offset, rank), self.fetch)
 
     def _select(self, place: Place) -> DataFrame:
         """The row at ``place`` as a lazy frame of one partition: a top-1
@@ -365,8 +335,7 @@ class SparkPieces:
         frame, _, op = place.piece
         base, end = (int(addresses({pid: [0]})[0]) for pid in (place.pid, place.pid + 1))
         if place.offset is None:
-            exclude = addresses({place.pid: place.excluded})
-            rows = in_order(frame, seed=self.seed, round_no=op, exclude=exclude)
+            rows = in_order(frame, seed=self.seed, round_no=op)
             rows, key = rows.filter(f"{ROW} >= {base} AND {ROW} < {end}"), RAND
         else:
             rows = frame.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
@@ -432,8 +401,7 @@ class CoPartitionedReservoir:
     partitions coincide with the pieces' partitions (the automatic
     co-partitioning of Sec. 5.2), and the driver's ``PendingDecisions``
     say which of their rows are items: per partition, a window of a
-    random order of its rows and the addresses ``extract_one`` set aside
-    before a keep (distributed decisions) or the kept offsets
+    random order of its rows (distributed decisions) or the kept offsets
     (centralized), and the rows ``insert_rows`` put back, which stay on
     the driver. ``sizes`` (items per partition) and ``count`` are read
     there, with no Spark job. An operation only drops items or adds rows,
@@ -447,10 +415,8 @@ class CoPartitionedReservoir:
     1 job (a top-1 over its piece) when something first reads its values;
     the first read adds 1 to learn the pandas dtypes of an item.
     ``to_pandas`` runs 1, with the extracted rows it is given. The
-    reservoir *merges* when it has more than ``4·P`` partitions or, for
-    distributed decisions, 64 excluded addresses (the ones
-    ``common.keep_first`` lists inline): one pass (1 job) applies the
-    pending decisions through ``common.keep_first`` or
+    reservoir *merges* when it has more than ``4·P`` partitions: one pass
+    (1 job) applies the pending decisions through ``common.keep_first`` or
     ``common.keep_offsets``, unions the held rows, ``coalesce``-s to
     ``P`` partitions, reads their sizes through ``DataFrame.observe`` and
     checkpoints. Cent-CP adds 1 job per piece that ships more than 64
@@ -514,9 +480,10 @@ class CoPartitionedReservoir:
         return self._df
 
     def _changed(self) -> None:
-        """Drop the stale view; merge if the reservoir is due."""
+        """Drop the stale view; merge if the reservoir has more than
+        ``4·P`` partitions."""
         self._df = None
-        if self.pending.due(4 * self.P):
+        if len(self.sizes) > 4 * self.P:
             self._merge()
 
     def _merge(self) -> None:
@@ -594,7 +561,6 @@ class KVReservoir:
     """
 
     SLOT = "__slot"
-    ROW = "__row"  # a batch row's address, monotonically_increasing_id()
 
     def __init__(
         self,
@@ -644,12 +610,12 @@ class KVReservoir:
         join shuffles both sides; co-located join broadcasts Q and filters
         each batch partition in place (Fig. 6(a))."""
         q = self.spark.createDataFrame(
-            pd.DataFrame({self.ROW: addresses(positions), self.SLOT: slots}),
-            schema=f"{self.ROW} long, {self.SLOT} long",
+            pd.DataFrame({ROW: addresses(positions), self.SLOT: slots}),
+            schema=f"{ROW} long, {self.SLOT} long",
         )
         q = F.broadcast(q) if self.retrieval == "cj" else q.hint("shuffle_merge")
-        rows = batch_df.selectExpr("*", f"monotonically_increasing_id() AS {self.ROW}")
-        return rows.join(q, self.ROW).drop(self.ROW)
+        rows = batch_df.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
+        return rows.join(q, ROW).drop(ROW)
 
     # -- reservoir operations -----------------------------------------
     def insert_all(self, batch_df: DataFrame, sizes: list[int]) -> None:

@@ -41,6 +41,12 @@ def every(payloads, n_parts, empty):
     return {pid: payloads.get(pid, empty) for pid in range(n_parts)}
 
 
+def first(counts):
+    """Windows of the first ``counts[pid]`` rows of each partition's
+    order, as ``keep_first`` takes them."""
+    return {pid: (0, k) for pid, k in counts.items()}
+
+
 def complement(positions, sizes):
     """The offsets of every partition that ``positions`` does not name."""
     return {pid: np.setdiff1d(np.arange(size), positions.get(pid, EMPTY)) for pid, size in enumerate(sizes)}
@@ -199,62 +205,26 @@ class TestSelectRandomPerPartition:
     def test_counts_respected(self, spark, df40):
         sizes = partition_sizes(df40)
         cnt = distributed_counts(make_rng(5), sizes, 12)
-        kept = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=1)
+        kept = keep_first(df40, first(every(cnt, len(sizes), 0)), seed=0, round_no=1)
         assert len(kept.toPandas()) == 12
         got = [len(keys) for keys in keys_by_partition(kept)]
         assert got == [cnt.get(pid, 0) for pid in range(len(sizes))]
 
-    def test_counts_rank_rows_left_after_exclusions(self, spark, df40):
-        """Excluded rows are dropped before the count ranks the rest: each
-        partition keeps exactly its count, none of them excluded."""
-        sizes = partition_sizes(df40)
-        excluded = {pid: np.array([0, size - 1]) for pid, size in enumerate(sizes) if size >= 3}
-        keys = keys_by_partition(df40)
-        gone = {keys[pid][o] for pid, offs in excluded.items() for o in offs}
-        keep = {pid: sizes[pid] - 3 for pid in excluded}
-        kept = keys_by_partition(keep_first(df40, keep, seed=0, round_no=3, exclude=addresses(excluded)))
-        assert [len(k) for k in kept] == [s - 3 if pid in excluded else s for pid, s in enumerate(sizes)]
-        assert not gone & {k for ks in kept for k in ks}
-
-    def test_exclusions_keep_the_order_of_the_rest(self, df40):
-        """``in_order`` draws each partition's ``rand`` order before it drops
-        the excluded rows, so the rows left keep their order: a count kept
-        after an exclusion is the same rows as before it, less the
-        excluded one."""
-        sizes = partition_sizes(df40)
-
-        def order(exclude=()):
-            rows = ranked(df40, seed=0, round_no=5, exclude=exclude).toPandas()
-            return [list(g.sort_values("__rank")["k"]) for _, g in rows.groupby(rows["__rank"].to_numpy() >> 33)]
-
-        full = order()
-        assert [len(o) for o in full] == sizes
-        gone = {pid: [3] for pid, size in enumerate(sizes) if size > 3}
-        keys = keys_by_partition(df40)
-        rest = order(addresses({pid: np.array(offs) for pid, offs in gone.items()}))
-        for pid, keys_in_order in enumerate(full):
-            dropped = {keys[pid][3]} if pid in gone else set()
-            assert rest[pid] == [k for k in keys_in_order if k not in dropped], pid
-
     def test_skip_keeps_a_window_of_the_order(self, df40):
-        """With ``skip``, a count keeps the rows at positions ``skip ..
-        skip + count - 1`` of ``ranked``'s order, counted after the
-        exclusions; a partition without a count keeps every row not
-        excluded."""
+        """A window ``(first, count)`` keeps the rows at positions ``first
+        .. first + count - 1`` of ``ranked``'s order; a partition without a
+        window keeps every row."""
         sizes = partition_sizes(df40)
-        excluded = {pid: np.array([1]) for pid, size in enumerate(sizes) if size > 6}
-        exclude = addresses(excluded)
-        rows = ranked(df40, seed=0, round_no=8, exclude=exclude).toPandas()
+        rows = ranked(df40, seed=0, round_no=8).toPandas()
         order = {pid: list(g.sort_values("__rank")["k"]) for pid, g in rows.groupby(rows["__rank"].to_numpy() >> 33)}
-        keep, skip = {0: 3, 1: 0}, {0: 2, 1: 4}
-        kept = keys_by_partition(keep_first(df40, keep, seed=0, round_no=8, exclude=exclude, skip=skip))
+        kept = keys_by_partition(keep_first(df40, {0: (2, 3), 1: (4, 0)}, seed=0, round_no=8))
         assert kept[0] == sorted(order[0][2:5]) and kept[1] == []
         for pid in range(2, len(sizes)):
             assert kept[pid] == sorted(order[pid]), pid
 
     def test_same_round_same_rows(self, spark, df40):
         sizes = partition_sizes(df40)
-        keep = every(distributed_counts(make_rng(6), sizes, 18), len(sizes), 0)
+        keep = first(every(distributed_counts(make_rng(6), sizes, 18), len(sizes), 0))
         k1 = keep_first(df40, keep, seed=3, round_no=5).toPandas()
         k2 = keep_first(df40, keep, seed=3, round_no=5).toPandas()
         assert sorted(k1["k"]) == sorted(k2["k"])
@@ -262,8 +232,8 @@ class TestSelectRandomPerPartition:
     def test_different_rounds_differ(self, spark, df40):
         sizes = partition_sizes(df40)
         cnt = {pid: min(2, s) for pid, s in enumerate(sizes) if s > 0}
-        k1 = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=1).toPandas()
-        k2 = keep_first(df40, every(cnt, len(sizes), 0), seed=0, round_no=99).toPandas()
+        k1 = keep_first(df40, first(every(cnt, len(sizes), 0)), seed=0, round_no=1).toPandas()
+        k2 = keep_first(df40, first(every(cnt, len(sizes), 0)), seed=0, round_no=99).toPandas()
         assert sorted(k1["k"]) != sorted(k2["k"])
 
     def test_uniform_marginals(self, spark, df40):
@@ -273,7 +243,7 @@ class TestSelectRandomPerPartition:
         reps = 60
         for r in range(reps):
             cnt = distributed_counts(make_rng(100 + r), sizes, 20)
-            kept = keep_first(df40, every(cnt, len(sizes), 0), seed=7, round_no=r).toPandas()
+            kept = keep_first(df40, first(every(cnt, len(sizes), 0)), seed=7, round_no=r).toPandas()
             counts[kept["k"].to_numpy()] += 1
         freq = counts / reps
         # each ~Binomial(60, .5): 5 sigma ≈ 0.32
@@ -293,7 +263,7 @@ class TestSelectOverUnion:
         sizes = [len(keys) for keys in before]
         if picks == "counts":
             keep = {1: sizes[1] - 2, 5: 3}
-            after = keys_by_partition(keep_first(union, keep, seed=1, round_no=1))
+            after = keys_by_partition(keep_first(union, first(keep), seed=1, round_no=1))
         else:
             keep = {0: np.setdiff1d(np.arange(sizes[0]), [0, 3]), 6: np.array([1, 4, 7])}
             after = keys_by_partition(keep_offsets(union, keep, sizes))
@@ -335,15 +305,13 @@ class TestNoPythonWorker:
         for plan in plans:
             self.assert_jvm_only(plan)
 
-    @pytest.mark.parametrize("picks", ["counts", "exclude", "offsets", "bitmap"])
+    @pytest.mark.parametrize("picks", ["counts", "offsets", "bitmap"])
     def test_select(self, df40, batch30, batch400, picks):
         union = df40.unionByName(batch400 if picks == "bitmap" else batch30)
         sizes = partition_sizes(union)
-        if picks in ("counts", "exclude"):
-            excluded = {pid: [0] for pid, size in enumerate(sizes) if size} if picks == "exclude" else {}
-            left = [size - len(excluded.get(pid, [])) for pid, size in enumerate(sizes)]
-            keep = every(distributed_counts(make_rng(10), left, 20), len(sizes), 0)
-            out = keep_first(union, keep, seed=0, round_no=1, exclude=addresses(excluded))
+        if picks == "counts":
+            keep = every(distributed_counts(make_rng(10), sizes, 20), len(sizes), 0)
+            out = keep_first(union, first(keep), seed=0, round_no=1)
         else:
             k = 10 if picks == "offsets" else 150
             out = keep_offsets(union, every(central_positions(make_rng(10), sizes, k), len(sizes), EMPTY), sizes)

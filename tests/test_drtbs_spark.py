@@ -579,44 +579,18 @@ class TestJobsPerRound:
             rows = sizes_of(res.df)  # glom() lengths, counted in the JVM
             assert res.sizes == rows and sum(rows) == math.floor(sampler.sample_weight + 1e-9), t
             assert len(res.sizes) <= 4 * P + P, (t, res.sizes)
-            assert sum(map(len, res.pending.excluded)) <= 64, t
         assert len(merges) >= 3, "a cycle without a merge"
 
-    def test_excluded_addresses_merge_at_64(self, spark):
-        """Only an extract from a partition with no keep pending excludes an
-        address; after a keep, an extract takes the next position of its
-        partition's order. The 64th excluded address merges the
-        reservoir, the one job of that extract, so ``common.keep_first``
-        always lists its exclusions inline."""
-        R = CoPartitionedReservoir(spark, strategy="dist", seed=1, target_partitions=2)
-        kept, unkept = range_batch(spark, 0, 200, 2), range_batch(spark, 1, 200, 2)
-        R.insert_all(kept, partition_sizes(kept))
-        R.keep_random(150)
-        R.insert_all(unkept, partition_sizes(unkept))
-        sc = spark.sparkContext
-        by_position = 0
-        for k in range(1, 300):
-            excluded, moved = sum(map(len, R.pending.excluded)), sum(R.pending.lo)
-            _, jobs = jobs_in(sc, f"cap-{k}", R.extract_one)
-            if len(R.pieces.frames) == 1:
-                assert (jobs, excluded + 1, sum(map(len, R.pending.excluded))) == (1, 64, 0), k
-                break
-            assert jobs == 0, k
-            after = sum(map(len, R.pending.excluded)), sum(R.pending.lo)
-            assert after in {(excluded + 1, moved), (excluded, moved + 1)}, (k, after)
-            by_position += after[1] > moved
-        else:
-            pytest.fail("no merge")
-        assert 0 < by_position == k - 64, (by_position, k)
-        assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 350 - k
 
-
-class TestCentralizedExtracts:
-    def test_extracts_never_merge(self, spark, monkeypatch):
-        """Centralized decisions leave an extracted row out of the kept
-        offsets and exclude no address, so no number of extracts makes the
-        reservoir merge: an extract of a stored row runs no job."""
-        R = CoPartitionedReservoir(spark, strategy="cent", seed=1, target_partitions=2)
+class TestExtracts:
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_extracts_never_merge(self, spark, monkeypatch, strategy):
+        """An extract leaves its row out of the kept offsets (centralized)
+        or moves its partition's window of the ``rand`` order up
+        (distributed), even from a partition no keep has touched, so no
+        number of extracts makes the reservoir merge: an extract of a
+        stored row runs no job."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=1, target_partitions=2)
         batch = range_batch(spark, 0, 200, 2)
         R.insert_all(batch, partition_sizes(batch))
         merges = []
@@ -624,7 +598,7 @@ class TestCentralizedExtracts:
         monkeypatch.setattr(R, "_merge", lambda: merges.append(1) or merge())
         sc = spark.sparkContext
         for k in range(1, 71):
-            _, jobs = jobs_in(sc, f"cent-{k}", R.extract_one)
+            _, jobs = jobs_in(sc, f"{strategy}-{k}", R.extract_one)
             assert (jobs, merges) == (0, []), k
         assert R.sizes == R.df.rdd.glom().map(len).collect() and R.count == 130
 

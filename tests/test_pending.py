@@ -54,8 +54,7 @@ class ListPieces:
         parts = []
         for j, rows in enumerate(self.parts):
             if pending.strategy == "dist":
-                order = [off for off in self.orders[j] if off not in pending.excluded[j]]
-                offsets = order[pending.lo[j] : pending.lo[j] + pending.keep[j]]
+                offsets = self.orders[j][pending.lo[j] : pending.lo[j] + pending.keep[j]]
             else:
                 offsets = pending.offsets(j).tolist()
             assert len(offsets) == pending.keep[j]
@@ -64,8 +63,8 @@ class ListPieces:
             parts.append([value(row) for row in pending.held])
         return parts
 
-    def row(self, pid, offset=None, *, rank=0, excluded=()):
-        place = Place((self.parts[pid], self.orders[pid]), pid, offset, rank, tuple(excluded))
+    def row(self, pid, offset=None, *, rank=0):
+        place = Place((self.parts[pid], self.orders[pid]), pid, offset, rank)
         return LazyRow(place, lambda place: {"label": at(place)})
 
     def merge(self, view, P):
@@ -80,7 +79,7 @@ def at(place):
     """The label stored at a ``ListPieces`` place, read without keeping it."""
     rows, order = place.piece
     if place.offset is None:
-        return rows[[off for off in order if off not in place.excluded][place.rank]]
+        return rows[order[place.rank]]
     return rows[place.offset]
 
 
