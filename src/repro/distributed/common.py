@@ -121,7 +121,7 @@ def central_positions(
     if k > total:
         raise ValueError(f"cannot choose {k} of {total} slots")
     slots = rng.choice(total, size=k, replace=False) if k else np.empty(0, int)
-    return slots_to_positions([int(s) for s in slots], sizes)
+    return slots_to_positions(slots, sizes)
 
 
 def distributed_counts(

@@ -5,9 +5,11 @@ R-TBS over a Spark reservoir. The driver holds the O(1) scalar state
 runs the serial sampler's Algorithms 2 and 3 unchanged; they reach the
 full items only through the reservoir operations (``count``,
 ``insert_all``, ``insert_rows``, ``keep_random``, ``extract_one``,
-``replace_random``, ``clear``), which here run as Spark jobs over a
-co-partitioned or simulated key-value reservoir (see
-``repro.distributed.reservoir``).
+``replace_random``, ``clear``) of a co-partitioned or simulated
+key-value reservoir (see ``repro.distributed.reservoir``). The key-value
+store runs them as Spark jobs. The co-partitioned reservoir composes
+them on the driver and runs a Spark job only when it merges; ``advance``
+adds one to size each non-empty batch.
 """
 from __future__ import annotations
 

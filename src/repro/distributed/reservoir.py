@@ -13,9 +13,12 @@ Two implementations of the paper's reservoir data structure:
 * ``CoPartitionedReservoir`` — the paper's recommended design: reservoir
   partitions coincide with incoming-batch partitions, inserts/deletes
   are composed on the driver and applied locally by each worker (no
-  shuffle) when the reservoir merges. Supports both the *centralized*
-  (driver-generated offsets) and *distributed* (per-partition
-  multivariate-hypergeometric counts) decision strategies of Sec. 5.3.
+  shuffle) when the reservoir merges. Its rows live only in *pieces*:
+  checkpointed batches and merges, and a piece of one row for each row
+  ``insert_rows`` puts back, kept and merged like any other. Supports
+  both the *centralized* (driver-generated offsets) and *distributed*
+  (per-partition multivariate-hypergeometric counts) decision strategies
+  of Sec. 5.3.
 
 * ``KVReservoir`` — simulates an off-the-shelf distributed key-value
   store (Memcached/Redis in the paper): every item lives under a slot
@@ -56,7 +59,12 @@ from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches t
     observed_sizes,
     partition_sizes,
 )
-from repro.rng import make_rng, sample_without_replacement
+from repro.rng import make_rng
+
+
+def _null(value: Any) -> bool:
+    """Whether a value read from a Spark row or a pandas frame is a null."""
+    return value is None or (pd.api.types.is_scalar(value) and bool(pd.isna(value)))
 
 
 @dataclass(frozen=True)
@@ -75,27 +83,29 @@ class Place:
 class LazyRow(Mapping):
     """A row ``extract_one`` took from a stored partition, known by its
     ``place`` until something reads its values. The first read resolves
-    them (``resolve(place)``, one Spark job) and keeps them. Testing it
-    against None, putting it back with ``insert_rows``, a merge and
-    ``clear()`` read nothing: a row put back stays a ``LazyRow`` that the
-    store realizes from its place."""
+    them (``resolve(place, None)``, one Spark job) and keeps them. Testing
+    it against None, putting it back with ``insert_rows``, a merge and
+    ``clear()`` read nothing: a row put back becomes a piece that the store
+    realizes from its place."""
 
-    def __init__(self, place: Place, resolve: Callable[[Place], Mapping[str, Any]]):
+    def __init__(self, place: Place, resolve: Callable[[Place, Mapping[str, Any] | None], Mapping[str, Any]]):
         self.place = place
         self._resolve = resolve
+        self._read: Mapping[str, Any] | None = None  # values read along with other rows
         self._row: Mapping[str, Any] | None = None
 
     @property
     def read(self) -> bool:
-        return self._row is not None
+        return self._read is not None or self._row is not None
 
-    def fill(self, row: Mapping[str, Any]) -> None:
-        """Keep ``row``, read in a job that realized this row anyway."""
-        self._row = row
+    def fill(self, values: Mapping[str, Any]) -> None:
+        """Keep ``values``, read in a job that realized this row anyway;
+        the first read types them as ``resolve(place, values)`` does."""
+        self._read = values
 
     def _values(self) -> Mapping[str, Any]:
         if self._row is None:
-            self._row = self._resolve(self.place)
+            self._row = self._resolve(self.place, self._read)
         return self._row
 
     def __getitem__(self, key: str) -> Any:
@@ -113,9 +123,10 @@ class PendingDecisions:
     driver in plain Python.
 
     The items are rows of stored partitions ``0 .. len(stored) - 1``
-    (``stored[j]`` rows each, addressed by offset) and the driver-held
-    rows ``held``. Stored partition ``j`` holds ``keep[j]`` items. Which
-    rows are the items depends on the decision strategy:
+    (``stored[j]`` rows each, addressed by offset): a batch's, a merge's,
+    or the one row ``insert_rows`` put back. Stored partition ``j`` holds
+    ``keep[j]`` items. Which rows are the items depends on the decision
+    strategy:
 
     * distributed: the partition's rows have an order drawn at random when
       it was stored (Spark's ``rand`` over its piece, ``common.in_order``),
@@ -150,21 +161,14 @@ class PendingDecisions:
     def clear(self) -> None:
         self.stored: list[int] = []
         self.keep: list[int] = []
-        self.held: list[Any] = []
         if self.strategy == "dist":
             self.lo: list[int] = []  # position of each partition's first item in its order
         else:
             self.kept: list[np.ndarray | None] = []  # offsets(j), None for all
 
     @property
-    def sizes(self) -> list[int]:
-        """Items in every partition: the stored partitions, then the held
-        rows as one more partition if there are any."""
-        return self.keep + ([len(self.held)] if self.held else [])
-
-    @property
     def count(self) -> int:
-        return sum(self.keep) + len(self.held)
+        return sum(self.keep)
 
     def offsets(self, j: int) -> np.ndarray:
         """Centralized: the offsets of stored partition j's items."""
@@ -203,41 +207,34 @@ class PendingDecisions:
     def _rest(self, picks: list[Any]) -> list[Any]:
         """The items of every partition that ``picks`` does not name."""
         if self.strategy == "dist":
-            return [size - c for size, c in zip(self.sizes, picks)]
-        return [np.setdiff1d(np.arange(size), idx) for size, idx in zip(self.sizes, picks)]
+            return [size - c for size, c in zip(self.keep, picks)]
+        return [np.setdiff1d(np.arange(size), idx) for size, idx in zip(self.keep, picks)]
 
     def _take(self, picks: list[Any]) -> None:
-        """Keep the items ``picks`` names: the first ones of a stored
+        """Keep the items ``picks`` names: the first ones of each
         partition's window of its order (distributed) or those at the
-        given indices (centralized), a uniform subset of the held rows."""
-        n_stored = len(self.keep)
+        given indices (centralized)."""
         if self.strategy == "dist":
-            self.keep = picks[:n_stored]
-            if self.held and picks[n_stored] < len(self.held):
-                self.held = sample_without_replacement(self.rng, self.held, picks[n_stored])
+            self.keep = picks
             return
-        for j, idx in enumerate(picks[:n_stored]):
+        for j, idx in enumerate(picks):
             if len(idx) < self.keep[j]:
                 self.kept[j], self.keep[j] = self.offsets(j)[idx], len(idx)
-        if self.held:
-            self.held = [self.held[i] for i in picks[n_stored]]
 
     def keep_random(self, k: int) -> None:
-        self._take(self._draw(self.sizes, k))
+        self._take(self._draw(self.keep, k))
 
     def extract_one(self, take: Callable[..., Any]) -> Any:
         """Remove and return a uniform item: a partition drawn in proportion
-        to its items, then a uniform item of it. A stored row is named by
-        ``take(partition, offset)`` (centralized) or ``take(partition,
-        rank=)`` (distributed): the first row of the partition's window,
-        uniform over its items given the item set."""
+        to its items, then a uniform item of it, named by ``take(partition,
+        offset)`` (centralized) or ``take(partition, rank=)`` (distributed):
+        the first row of the partition's window, uniform over its items
+        given the item set."""
         slot = int(self.rng.integers(self.count))
-        for pid, size in enumerate(self.sizes):
+        for pid, size in enumerate(self.keep):
             if slot < size:
                 break
             slot -= size
-        if pid == len(self.keep):
-            return self.held.pop(slot)
         if self.strategy == "cent":
             offsets = self.offsets(pid)
             self.kept[pid] = np.delete(offsets, slot)
@@ -248,28 +245,27 @@ class PendingDecisions:
         self.keep[pid] -= 1
         return item
 
-    def insert_rows(self, rows: Sequence[Any]) -> None:
-        self.held += list(rows)
-
     def replace_random(self, m: int, sizes: Sequence[int]) -> None:
         """m uniform victims leave; m uniform rows of a batch of ``sizes``,
         stored as new partitions, come in."""
-        self._take(self._rest(self._draw(self.sizes, m)))
+        self._take(self._rest(self._draw(self.keep, m)))
         self.add(sizes, self._draw(sizes, m))
 
 
 class SparkPieces:
-    """The co-partitioned reservoir's rows in Spark: checkpointed frames,
-    the *pieces*, in partition order (the last merge and every batch
-    since), which no operation rewrites. Given the driver's
-    ``PendingDecisions``, it realizes the items as a lazy view, names a
-    stored row as a ``LazyRow``, or merges the items into one new piece."""
+    """The co-partitioned reservoir's rows in Spark: the *pieces*, in
+    partition order, which no operation rewrites. A piece is the last
+    merge or a batch since, checkpointed, or a row ``insert_rows`` put
+    back, read as a frame of one partition (``_frame``). Given the
+    driver's ``PendingDecisions``, it realizes the items as a lazy view,
+    names a stored row as a ``LazyRow``, or merges the items into one new
+    piece."""
 
     def __init__(self, spark: SparkSession, *, seed: int):
         self.spark = spark
         self.seed = seed
         self.op = 0  # monotone piece counter: seeds each piece's rand order
-        self.frames: list[tuple[DataFrame, int, int]] = []  # (frame, partitions, op)
+        self.frames: list[tuple[Any, int, int]] = []  # (piece, partitions, op)
         self.schema = None  # the batches' schema, kept across clear()
         self._guard: DataFrame | None = None  # zero partitions, first in unions
         self._empty: pd.DataFrame | None = None  # a cleared reservoir's items
@@ -277,34 +273,31 @@ class SparkPieces:
     def clear(self) -> None:
         self.frames = []
 
-    def add(self, frame: DataFrame, sizes: Sequence[int]) -> None:
-        """Append a checkpointed frame whose partitions hold ``sizes`` rows."""
+    def add(self, piece: DataFrame | Mapping[str, Any], sizes: Sequence[int]) -> None:
+        """Append a piece whose partitions hold ``sizes`` rows: a
+        checkpointed frame, or a row put back."""
         if self.schema is None:
-            self.schema = frame.schema
-            self._guard = frame.limit(0).localCheckpoint(eager=False)
+            self.schema = piece.schema
+            self._guard = piece.limit(0).localCheckpoint(eager=False)
         self.op += 1
-        self.frames.append((frame, len(sizes), self.op))
+        self.frames.append((piece, len(sizes), self.op))
 
     def view(self, pending: PendingDecisions) -> DataFrame | None:
-        """The items as a lazy frame whose partitions hold
-        ``pending.sizes`` rows: every piece with its pending decisions
-        applied, then the driver-held rows as one partition, in their
-        order."""
-        if not self.frames and not pending.held:
+        """The items as a lazy frame whose partitions hold ``pending.keep``
+        rows: every piece with its pending decisions applied, in order."""
+        if not self.frames:
             return None
         parts, first = [self._guard], 0
-        for frame, n_parts, op in self.frames:
-            parts.append(self._apply(pending, frame, first, n_parts, op))
+        for piece, n_parts, op in self.frames:
+            parts.append(self._apply(pending, self._frame(piece), first, n_parts, op))
             first += n_parts
-        if pending.held:
-            parts.append(functools.reduce(DataFrame.unionByName, map(self._one, pending.held)).coalesce(1))
         return functools.reduce(DataFrame.unionByName, parts)
 
     def _apply(
         self, pending: PendingDecisions, frame: DataFrame, first: int, n_parts: int, op: int
     ) -> DataFrame:
-        """A piece (partitions ``first ..``) with its pending decisions
-        applied: one filter over the checkpointed frame."""
+        """A piece's frame (partitions ``first ..``) with its pending
+        decisions applied: one filter over it."""
         parts = slice(first, first + n_parts)
         stored, keep = pending.stored[parts], pending.keep[parts]
         touched = [pid for pid, k in enumerate(keep) if k < stored[pid]]
@@ -332,7 +325,8 @@ class SparkPieces:
         reports no block location, as local data does: a partition that
         reports one changes the groups of the merge's locality-aware
         ``coalesce``."""
-        frame, _, op = place.piece
+        piece, _, op = place.piece
+        frame = self._frame(piece)
         base, end = (int(addresses({pid: [0]})[0]) for pid in (place.pid, place.pid + 1))
         if place.offset is None:
             rows = in_order(frame, seed=self.seed, round_no=op)
@@ -343,21 +337,31 @@ class SparkPieces:
         rows = rows.orderBy(F.expr(key)).limit(place.rank + 1).offset(place.rank)
         return rows.selectExpr(*[f"`{c}`" for c in frame.columns])
 
-    def _one(self, row: Any) -> DataFrame:
-        """A held row as a lazy frame of one partition: a ``LazyRow`` read
-        from its place, any other row from local data."""
-        if isinstance(row, LazyRow):
-            return self._select(row.place)
-        local = pd.DataFrame([row], columns=self.schema.names)
+    def _frame(self, piece: DataFrame | Mapping[str, Any]) -> DataFrame:
+        """A piece as a frame. A row put back becomes a lazy frame of one
+        partition, with no Spark job: a ``LazyRow`` read from its place,
+        any other row from local data. It is built only when a view or a
+        fetch reads it: building its plan takes about 25 ms of calls into
+        the JVM (4-core host), which a put-back would otherwise wait for."""
+        if isinstance(piece, DataFrame):
+            return piece
+        if isinstance(piece, LazyRow):
+            return self._select(piece.place)
+        local = pd.DataFrame([piece], columns=self.schema.names)
         return self.spark.createDataFrame(local, schema=self.schema).coalesce(1)
 
-    def fetch(self, place: Place) -> dict[str, Any]:
-        """The values of the row at ``place``, with the types of a
-        ``to_pandas()`` row: one Spark job (the first fetch adds one to
-        learn the pandas dtypes)."""
-        (row,) = self._select(place).collect()
-        # every non-null value cast to its column's pandas dtype
-        item, empty = row.asDict(), self._empty_items()
+    def fetch(self, place: Place, values: Mapping[str, Any] | None = None) -> dict[str, Any]:
+        """The values of the row at ``place`` with the types of a
+        ``to_pandas()`` row: every null (None, or NaN where pandas holds
+        one) is None, every other value is cast to its column's pandas
+        dtype. ``values`` are the row's, read in a job that realized it
+        with other rows; without them, one Spark job reads them. The first
+        fetch adds one job to learn the pandas dtypes."""
+        if values is None:
+            (row,) = self._select(place).collect()
+            values = row.asDict()
+        empty = self._empty_items()
+        item = {c: None if _null(values[c]) else values[c] for c in empty.columns}
         dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
         return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
 
@@ -379,7 +383,8 @@ class SparkPieces:
 
     def to_pandas(self, view: DataFrame | None, rows: Sequence[LazyRow] = ()) -> pd.DataFrame:
         """The items of ``view``, then ``rows``, realized in one Spark job;
-        each of ``rows`` keeps the values read for it."""
+        each of ``rows`` keeps the values read for it, for ``fetch`` to
+        type."""
         if rows:
             frames = ([view] if view is not None else []) + [self._select(r.place) for r in rows]
             out = functools.reduce(DataFrame.unionByName, frames).toPandas()
@@ -396,50 +401,52 @@ class SparkPieces:
 class CoPartitionedReservoir:
     """Reservoir co-partitioned with incoming batches (Fig. 5(b)).
 
-    The rows live in checkpointed *pieces* (``SparkPieces``) — the last
-    merge and every batch since — which no operation rewrites. Reservoir
-    partitions coincide with the pieces' partitions (the automatic
-    co-partitioning of Sec. 5.2), and the driver's ``PendingDecisions``
-    say which of their rows are items: per partition, a window of a
-    random order of its rows (distributed decisions) or the kept offsets
-    (centralized), and the rows ``insert_rows`` put back, which stay on
-    the driver. ``sizes`` (items per partition) and ``count`` are read
-    there, with no Spark job. An operation only drops items or adds rows,
-    so every view of the items between merges agrees with the ones before
-    it.
+    The rows live in *pieces* (``SparkPieces``), which no operation
+    rewrites: the last merge and every batch since, checkpointed, and a
+    piece of one row for each row ``insert_rows`` put back (Swap1's
+    ``A ← (A∖I) ∪ π``). Reservoir partitions coincide with the pieces'
+    partitions (the automatic co-partitioning of Sec. 5.2), and the
+    driver's ``PendingDecisions`` say which of their rows are items: per
+    partition, a window of a random order of its rows (distributed
+    decisions) or the kept offsets (centralized). A put-back row's
+    partition is kept, extracted from and merged like any other. ``sizes``
+    (items per partition) and ``count`` are read on the driver, with no
+    Spark job. An operation only drops items or adds rows, so every view
+    of the items between merges agrees with the ones before it.
 
     Spark jobs, as measured: ``keep_random``, ``insert_rows``,
-    ``extract_one``, and ``insert_all`` and ``replace_random`` given a
-    batch the caller sized (``DRTBS.advance`` sizes it in one job), run
-    none. ``extract_one`` returns a stored row as a ``LazyRow``, read in
-    1 job (a top-1 over its piece) when something first reads its values;
-    the first read adds 1 to learn the pandas dtypes of an item.
-    ``to_pandas`` runs 1, with the extracted rows it is given. The
-    reservoir *merges* when it has more than ``4·P`` partitions: one pass
-    (1 job) applies the pending decisions through ``common.keep_first`` or
-    ``common.keep_offsets``, unions the held rows, ``coalesce``-s to
-    ``P`` partitions, reads their sizes through ``DataFrame.observe`` and
+    ``extract_one``, and ``insert_all`` and ``replace_random`` given a batch
+    the caller sized (``DRTBS.advance`` sizes it in one job), run none.
+    ``extract_one`` returns a ``LazyRow``, read in 1 job (a top-1 over its
+    piece) when something first reads its values; the first read adds 1 to
+    learn the pandas dtypes of an item. ``to_pandas`` runs 1, with the
+    extracted rows it is given. The reservoir *merges* when it has more than
+    ``4·P`` partitions: one pass (1 job) applies the pending decisions
+    through ``common.keep_first`` or ``common.keep_offsets``, ``coalesce``-s
+    to ``P`` partitions, reads their sizes through ``DataFrame.observe`` and
     checkpoints. Cent-CP adds 1 job per piece that ships more than 64
     offsets, to broadcast its bitmaps (a saturated Cent-CP round at 10k
     rows, n = 20k, P = 4: 7 jobs when it merges five pieces). So a Dist-CP
-    D-R-TBS round runs 1 job per non-empty batch and 1 per merge. ``df``
-    is the lazy view of the items that a merge checkpoints.
+    D-R-TBS round runs 1 job per non-empty batch and 1 per merge. ``df`` is
+    the lazy view of the items that a merge checkpoints.
 
     CRITICAL evaluation-order invariants: ``spark_partition_id()``,
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
-    of the plan they are evaluated over, and ``rand`` advances once per
-    row it is evaluated on. Every row address and every piece's ``rand``
-    order (the filters, the fetch) is therefore projected directly over one
-    checkpointed piece, whose partitions and offsets the driver counted,
-    before any row is dropped (``common.in_order``); every filter, union and
-    the merge's ``coalesce`` sit above those projections. Unions put a
-    zero-partition frame first: Spark 4.1 merges partition i of every
-    child when all of them report a single partition
-    (``spark.sql.unionOutputPartitioning``), and one child that does not
-    keeps the partitions concatenated, so the view's partitions are the
-    ``sizes`` the driver holds. Over a frame of local data Spark's
+    of the plan they are evaluated over, and ``rand`` advances once per row
+    it is evaluated on. Every row address and every piece's ``rand`` order
+    (the filters, the fetch) is therefore projected directly over one piece,
+    before any row is dropped (``common.in_order``): a checkpointed batch or
+    merge, whose partitions and offsets the driver counted, or a put-back
+    row's frame, whose one row has address 0 and rank 0 however Spark
+    evaluates it. Every filter, union and the merge's ``coalesce`` sit above
+    those projections. Unions put a zero-partition frame first: Spark 4.1
+    merges partition i of every child when all of them report a single
+    partition (``spark.sql.unionOutputPartitioning``), and one child that
+    does not keeps the partitions concatenated, so the view's partitions are
+    the ``sizes`` the driver holds. Over a frame of local data Spark's
     optimizer would evaluate the ids on the driver as if it were one
-    partition, so batches arrive checkpointed (``DRTBS.advance``).
+    partition, so batches arrive checkpointed (``DRTBS.advance``); a
+    put-back row's frame is one partition anyway.
 
     Every expression is a SQL string (``F.expr``, ``selectExpr``, a string
     ``filter``), never a ``Column`` method or ``F.col``: PySpark records
@@ -466,7 +473,7 @@ class CoPartitionedReservoir:
 
     @property
     def sizes(self) -> list[int]:
-        return self.pending.sizes
+        return list(self.pending.keep)
 
     @property
     def count(self) -> int:
@@ -508,23 +515,26 @@ class CoPartitionedReservoir:
         self.pending.keep_random(k)
         self._changed()
 
-    def extract_one(self) -> Mapping[str, Any] | None:
+    def extract_one(self) -> LazyRow | None:
         """Remove and return one uniformly random item (for the latent
-        sample's partial-item moves): a stored row as a ``LazyRow``, read
-        only when something reads its values, or a held row as it was put
-        back."""
+        sample's partial-item moves) as a ``LazyRow``, read only when
+        something reads its values."""
         if self.count == 0:
             return None
         item = self.pending.extract_one(self.pieces.row)
         self._changed()
         return item
 
-    def insert_rows(self, rows: list[dict[str, Any]]) -> None:
+    def insert_rows(self, rows: list[Mapping[str, Any]]) -> None:
+        """Put each row back as a piece of one partition: a ``LazyRow``
+        as the top-1 over its place, any other row as local data."""
         if not rows:
             return
         if self.pieces.schema is None:
             raise RuntimeError("insert_rows into an uninitialized reservoir")
-        self.pending.insert_rows(rows)
+        for row in rows:
+            self.pending.add([1])
+            self.pieces.add(row, [1])
         self._changed()
 
     def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
@@ -586,12 +596,20 @@ class KVReservoir:
         return len(self.live_slots)
 
     def _materialize(self, df: DataFrame) -> None:
-        # same evaluation-order discipline as CoPartitionedReservoir:
-        # checkpoint first, only then coalesce (over a plain scan).
-        df = df.localCheckpoint(eager=True)
-        if df.rdd.getNumPartitions() > 2 * self.P:
-            df = df.coalesce(self.P).localCheckpoint(eager=True)
-        self.df = df
+        self.df = df.localCheckpoint(eager=True)
+
+    def _write(self, survivors: DataFrame | None, inserts: DataFrame) -> None:
+        """Checkpoint ``survivors`` (partitioned as ``df``) with ``inserts``
+        written to their slots' partitions, the simulated KV write. A union
+        of more than ``2·P`` partitions is coalesced to ``P`` first: every
+        ``monotonically_increasing_id()`` of the plan sits below the
+        write's exchange, so the coalesce moves no row's address."""
+        df = inserts.repartition(self.P, self.SLOT)
+        if survivors is not None:
+            df = survivors.unionByName(df)
+            if self.df.rdd.getNumPartitions() > self.P:
+                df = df.coalesce(self.P)
+        self._materialize(df)
 
     def _slot_df(self, slots: np.ndarray) -> DataFrame:
         return self.spark.createDataFrame(
@@ -623,11 +641,8 @@ class KVReservoir:
         n_rows = sum(sizes)
         slots = np.arange(self.next_slot, self.next_slot + n_rows, dtype=np.int64)
         self.next_slot += n_rows
-        inserts = self._retrieve(batch_df, positions, slots)
-        inserts = inserts.repartition(self.P, self.SLOT)  # simulated KV write
-        df = inserts if self.df is None else self.df.unionByName(inserts)
         self.live_slots = np.concatenate([self.live_slots, slots])
-        self._materialize(df)
+        self._write(self.df, self._retrieve(batch_df, positions, slots))
 
     def keep_random(self, k: int) -> None:
         if k >= self.count:
@@ -659,7 +674,7 @@ class KVReservoir:
         # keep_random put the slot column first.
         small = self.spark.createDataFrame(pdf[self.df.columns], schema=self.df.schema)
         self.live_slots = np.concatenate([self.live_slots, slots])
-        self._materialize(self.df.unionByName(small.repartition(self.P, self.SLOT)))
+        self._write(self.df, small)
 
     def replace_random(self, m: int, batch_df: DataFrame, sizes: list[int]) -> None:
         if m <= 0:
@@ -667,12 +682,11 @@ class KVReservoir:
         victims = self.rng.choice(self.live_slots, size=m, replace=False)
         positions = central_positions(self.rng, sizes, m)
         inserts = self._retrieve(batch_df, positions, victims.astype(np.int64))
-        inserts = inserts.repartition(self.P, self.SLOT)  # simulated KV write
         survivors = self.df.join(
             F.broadcast(self._slot_df(victims)), on=self.SLOT, how="left_anti"
         )
         # victims' slots are reused by the inserts: live set unchanged.
-        self._materialize(survivors.unionByName(inserts))
+        self._write(survivors, inserts)
 
     def clear(self) -> None:
         if self.df is not None:

@@ -286,9 +286,9 @@ class TestOnePassExtract:
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_extract_from_one_row_partition(self, spark, strategy):
-        """The row ``insert_rows`` puts back stays on the driver, alone in
-        the view's last partition; when it is the pick, it is returned
-        with no Spark job and its partition is gone."""
+        """The row ``insert_rows`` puts back becomes a one-row piece, the
+        view's last partition; when it is the pick, it is returned with no
+        Spark job and its partition is left empty."""
         R, source = self.filled(spark, strategy)
         row = R.extract_one()
         R.keep_random(0)
@@ -337,7 +337,7 @@ class TestPieces:
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_single_partition_pieces_concatenate(self, spark, strategy):
         """Pieces of one partition each — a merge to one partition, a
-        one-partition batch, the held rows — stay apart in the view, as
+        one-partition batch, a put-back row — stay apart in the view, as
         ``sizes`` has them, though Spark 4.1 would merge partition i of
         every child of a union whose children all report one partition."""
         R = CoPartitionedReservoir(spark, strategy=strategy, seed=0, target_partitions=1)
@@ -428,7 +428,7 @@ class TestRealizationNests:
             after = rows_of(R.to_pandas())
             assert len(after) == R.count and after <= before | added, (op, after - before - added)
             before = after
-        assert len(R.pieces.frames) == 3, "merged"
+        assert len(R.pieces.frames) == 4, "merged"  # three batches and the row put back
 
     @pytest.mark.parametrize("kw", VARIANTS[:2], ids=IDS[:2])
     def test_samples_nest_across_rounds(self, spark, kw):
@@ -523,11 +523,11 @@ class TestLazyPartial:
         row = R.extract_one()
         R.insert_rows([row])  # Swap1's put-back, unread
         for k in range(1, 5 * P):
-            if not R.pending.held:  # merged
+            if len(R.pieces.frames) == 1:  # merged
                 break
             more = spark.range(100 * k, 100 * k + 4, 1, 1).selectExpr(*TYPED_COLUMNS).localCheckpoint(eager=True)
             R.insert_all(more, [4])
-        assert not R.pending.held and not row.read, "no merge"
+        assert len(R.pieces.frames) == 1 and not row.read, "no merge"
         items = R.to_pandas().set_index("i", drop=False)
         assert R.sizes == R.df.rdd.glom().map(len).collect()
         ours = items.loc[items.index < 40].sort_index()
@@ -543,6 +543,63 @@ class TestLazyPartial:
                 break
         assert dict(item) == dict(row)
         assert [type(v) for v in item.values()] == [type(v) for v in row.values()]
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_nulls_read_late_or_early(self, spark, strategy):
+        """Rows with long, double and string nulls read the same whether
+        each is fetched alone or read in one frame with the other, where
+        every column holds a null: a null is None and a value keeps its
+        column's pandas dtype."""
+        rows = [(1, None, 2.5, "a"), (2, 7, None, None)]
+        batch = spark.createDataFrame(rows, "t long, k long, x double, s string").localCheckpoint(eager=True)
+        reads = []
+        for early in (True, False):
+            R = CoPartitionedReservoir(spark, strategy=strategy, seed=3)
+            R.insert_all(batch, partition_sizes(batch))
+            extracted = [R.extract_one(), R.extract_one()]
+            if not early:
+                R.to_pandas(*extracted)
+            assert all(row.read for row in extracted) != early
+            reads.append(sorted((dict(row) for row in extracted), key=lambda row: row["t"]))
+        assert reads[0] == reads[1], reads
+        assert [type(v) for r in reads[0] for v in r.values()] == [type(v) for r in reads[1] for v in r.values()]
+        assert reads[0][0]["k"] is None and reads[0][1]["x"] is None and reads[0][1]["s"] is None
+        assert type(reads[0][1]["k"]) is np.int64 and reads[0][1]["k"] == 7
+
+
+class TestPutBackPieces:
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_swap1_cycles_merge(self, spark, strategy):
+        """Swap1 cycles: extract a row, then put back the row extracted the
+        cycle before, unread. Each row put back is a piece of one
+        partition, which extracts and merges treat like any other. After
+        every operation the driver's sizes are the view's partitions, and
+        reading them runs no Spark job; a put-back runs none but its
+        merge's, and the put-backs alone make the reservoir merge."""
+        R = CoPartitionedReservoir(spark, strategy=strategy, seed=7, target_partitions=1)
+        batch = range_batch(spark, 0, 12, 2)
+        R.insert_all(batch, partition_sizes(batch))
+        sc, n_parts = spark.sparkContext, [len(R.sizes)]
+
+        def check(step):
+            sizes, jobs = jobs_in(sc, f"put-back-sizes-{strategy}-{step}", lambda: R.sizes)
+            assert jobs == 0 and sizes == R.df.rdd.glom().map(len).collect(), (step, sizes)
+            n_parts.append(len(sizes))
+
+        previous = R.extract_one()
+        check("first")
+        for k in range(6):
+            row = R.extract_one()
+            check(f"extract-{k}")
+            _, jobs = jobs_in(sc, f"put-back-{strategy}-{k}", lambda: R.insert_rows([previous]))
+            check(f"insert-{k}")
+            assert jobs == (n_parts[-1] < n_parts[-2]), (k, jobs, n_parts)
+            previous = row
+        assert any(b < a for a, b in zip(n_parts, n_parts[1:])), ("no merge", n_parts)
+        assert not previous.read
+        items = rows_of(R.to_pandas())
+        assert len(items) == R.count == 11 and (previous["t"], previous["i"]) not in items
+        assert items | {(previous["t"], previous["i"])} == {(0, i) for i in range(12)}
 
 
 class TestJobsPerRound:
@@ -659,6 +716,23 @@ class TestKVReservoir:
         rows = R.to_pandas()
         assert len(rows) == 6 and (rows["t"] == 7).all()
         assert {"t": 7, "i": row["i"]} in rows.to_dict("records")
+
+    @pytest.mark.parametrize("retrieval", ["cj", "rj"])
+    def test_coalescing_write_checkpoints_once(self, spark, retrieval):
+        """A write that would leave the store more than ``2·P`` partitions
+        is coalesced to ``P`` before its one checkpoint, so it runs as many
+        Spark jobs as a write that is not."""
+        R = KVReservoir(spark, retrieval=retrieval, seed=0, target_partitions=2)
+        batch = make_batch(spark, 7, 12).localCheckpoint(eager=True)
+        R.insert_all(batch, partition_sizes(batch))
+        rows = [R.extract_one(), R.extract_one()]
+        parts, jobs = [], []
+        for k, row in enumerate(rows):
+            _, n = jobs_in(spark.sparkContext, f"kv-write-{retrieval}-{k}", lambda: R.insert_rows([row]))
+            jobs.append(n)
+            parts.append(R.df.rdd.getNumPartitions())
+        assert parts == [4, 2] and jobs[0] == jobs[1], (parts, jobs)
+        assert sorted(R.to_pandas()["i"]) == list(range(12))
 
     def test_join_plans(self, spark):
         """The simulated costs hold under Spark's default broadcast

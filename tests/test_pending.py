@@ -8,7 +8,8 @@ partitions are stored whole, each with a random order of its rows drawn
 when it is stored (Spark's ``rand`` over a checkpointed piece), a merge
 concatenates whole partitions into ``P``, and an extract returns a
 ``LazyRow`` that names its row by place, which ``insert_rows`` puts back
-as it is and which is read only after later keeps, merges and clears.
+as a piece of one row and which is read only after later keeps, merges
+and clears.
 Over many seeds, the realized latent sample (items in A, items extracted
 as π) must have the law it has in a ``ListReservoir``, and after every
 operation the items must be some of the items before it plus the rows it
@@ -32,7 +33,7 @@ STRATEGIES = ["dist", "cent"]
 class ListPieces:
     """``SparkPieces`` with Python lists for its pieces. A row's place
     holds its partition's rows and order as they were when it was
-    named."""
+    named; a row put back is a piece of that one row."""
 
     def __init__(self, rng):
         self.rng = rng  # draws each stored partition's order
@@ -44,6 +45,8 @@ class ListPieces:
 
     def add(self, batch, sizes):
         self.schema = True
+        if not isinstance(batch, list):  # a row put back; a LazyRow stays unread
+            batch = [at(batch.place) if isinstance(batch, LazyRow) else batch]
         start = 0
         for size in sizes:
             self.parts.append(batch[start : start + size])
@@ -59,13 +62,11 @@ class ListPieces:
                 offsets = pending.offsets(j).tolist()
             assert len(offsets) == pending.keep[j]
             parts.append([rows[off] for off in sorted(offsets)])
-        if pending.held:
-            parts.append([value(row) for row in pending.held])
         return parts
 
     def row(self, pid, offset=None, *, rank=0):
         place = Place((self.parts[pid], self.orders[pid]), pid, offset, rank)
-        return LazyRow(place, lambda place: {"label": at(place)})
+        return LazyRow(place, lambda place, values: {"label": at(place)})
 
     def merge(self, view, P):
         # coalesce: whole partitions grouped into at most P
@@ -199,15 +200,15 @@ def laws(script, strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_joint_law_matches_list_reservoir(strategy):
     """Keeps and extracts compose between merges: two keeps around an
-    extract whose row is put back, an extract from a partition that
-    already lost a row, a replacement that merges the reservoir if the
-    row is still held, and an extract after it. The realized (A, π) has
+    extract whose row is put back as a one-row piece, an extract from a
+    partition that already lost a row, a replacement that merges the
+    reservoir, and an extract after it. The realized (A, π) has
     the law of the same script on a ``ListReservoir``."""
     script = [
         ("insert_all", [0, 1, 2, 3, 4], [2, 3]),
         ("keep_random", 4),
         ("extract_one",),
-        ("insert_rows",),  # the extracted row, now held on the driver
+        ("insert_rows",),  # the extracted row, now a one-row piece
         ("extract_one",),
         ("keep_random", 2),
         ("replace_random", 1, [5, 6], [1, 1]),
