@@ -12,16 +12,18 @@ the JVM executors with no Python worker:
 * ``partition_sizes`` counts the rows of every ``spark_partition_id()``
   in ``DataFrame.observe`` metrics (``observed_sizes``) over a ``noop``
   write: one job of one stage, which also materializes a lazy checkpoint
-  under the frame;
+  under the frame. ``materialized`` tells a checkpoint already written
+  from any other frame, on the driver and with no job;
 * ``keep_first`` and ``keep_offsets``, one filter per decision strategy,
   address a row by ``monotonically_increasing_id()``, whose value is
   ``(pid << 33) + offset``: the row's partition in the plan the expression
   is evaluated over, and its position inside that partition. The
   expression is projected directly over the given DataFrame, so the
   addresses are those of its own partitions; the co-partitioned
-  reservoir gives it one checkpointed piece at a time. A frame of local
-  data must be checkpointed first: over it, Spark's optimizer evaluates
-  both ids on the driver as if the frame were one partition;
+  reservoir gives ``keep_first`` one piece at a time and ``keep_offsets``
+  the union of its pieces, whose partitions are theirs in order. A frame
+  of local data must be checkpointed first: over it, Spark's optimizer
+  evaluates both ids on the driver as if the frame were one partition;
 * ``addresses`` gives the driver the same address for each picked
   ``(partition, offset)``, which the key-value reservoir joins the batch
   on.
@@ -68,10 +70,27 @@ _OFFSET_MASK = (1 << _PID_SHIFT) - 1  # an address's offset bits
 _INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
+def checkpoint_rdd(df: DataFrame) -> Any:
+    """The JVM RDD of ``df``'s ``LogicalRDD`` when ``df`` is a checkpoint
+    (eager or lazy) with nothing over it, else None. Read from the analyzed
+    plan: ``df.rdd`` is a new Python RDD over the frame, which is never
+    checkpointed and takes about 12 ms to build."""
+    plan = df._jdf.queryExecution().analyzed()
+    return plan.rdd() if plan.nodeName() == "LogicalRDD" else None
+
+
+def materialized(df: DataFrame) -> bool:
+    """Whether ``df`` is a checkpoint already written to the block manager,
+    so its partitions and row order are fixed."""
+    rdd = checkpoint_rdd(df)
+    return rdd is not None and rdd.isCheckpointed()
+
+
 def partition_sizes(df: DataFrame) -> list[int]:
     """Row count of every partition, indexed by partition id, from one
     single-stage Spark job (no shuffle, no rows sent to the driver)."""
-    n_parts = df.rdd.getNumPartitions()
+    rdd = checkpoint_rdd(df)
+    n_parts = rdd.getNumPartitions() if rdd is not None else df.rdd.getNumPartitions()
     if n_parts == 0:
         return []
     return observed_sizes(df, n_parts, lambda d: d.write.format("noop").mode("overwrite").save())[1]

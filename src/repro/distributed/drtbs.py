@@ -9,7 +9,9 @@ full items only through the reservoir operations (``count``,
 key-value reservoir (see ``repro.distributed.reservoir``). The key-value
 store runs them as Spark jobs. The co-partitioned reservoir composes
 them on the driver and runs a Spark job only when it merges; ``advance``
-adds one to size each non-empty batch.
+adds one to size each non-empty batch. A batch that arrives as a
+checkpoint already written (``localCheckpoint(eager=True)``) is sized and
+stored as it is, so its rows are held once in the block manager.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.latent import LatentSample
 from repro.core.rtbs import RTBS
 from repro.distributed import reservoir
+from repro.distributed.common import materialized
 
 
 class DRTBS(RTBS):
@@ -87,24 +90,24 @@ class DRTBS(RTBS):
         deterministic under re-evaluation (e.g. created from local data
         or a checkpointed parent). It is sized once, per partition, as the
         paper's driver aggregates local batch sizes; the sizes give ``b``
-        and are handed to the reservoir."""
-        # A lazy local checkpoint, materialized by the sizing pass, pins the
-        # batch's partitions for the sizes and every later pass. Spark's
-        # optimizer would otherwise evaluate spark_partition_id() over a
-        # frame of local data on the driver, as if it were one partition.
-        batch_df = batch_df.localCheckpoint(eager=False)
+        and are handed to the reservoir with the batch."""
+        # The batch's partitions must be pinned for the sizes and every
+        # later pass. A checkpoint already written pins them, and becomes
+        # the piece as it is. Any other frame gets a lazy local checkpoint,
+        # which the sizing pass materializes: Spark's optimizer would
+        # otherwise evaluate spark_partition_id() over a frame of local
+        # data on the driver, as if it were one partition.
+        if not materialized(batch_df):
+            batch_df = batch_df.localCheckpoint(eager=False)
         # Looked up on the module at call time, so a wrapper installed on
         # ``reservoir.partition_sizes`` (tbsbench --trace 1) sees this call.
         self._advance(batch_df, reservoir.partition_sizes(batch_df), dt)
 
     def sample_pandas(self, rng: np.random.Generator | None = None):
-        """Realize S_t as a pandas DataFrame (eq. (2)). A drawn partial item
-        whose values were not read yet is read in the job that realizes
-        the full items."""
-        import pandas as pd
-
-        if not self.latent.draw_partial(rng if rng is not None else self.rng):
-            return self.reservoir.to_pandas()
-        if isinstance(self.partial, reservoir.LazyRow) and not self.partial.read:
+        """Realize S_t as a pandas DataFrame (eq. (2)) in one Spark job: a
+        drawn partial item is realized in that job with the full items,
+        whether or not its values were read before, so the sample's dtypes
+        are those Spark gives all of its rows."""
+        if self.latent.draw_partial(rng if rng is not None else self.rng):
             return self.reservoir.to_pandas(self.partial)
-        return pd.concat([self.reservoir.to_pandas(), pd.DataFrame([self.partial])], ignore_index=True)
+        return self.reservoir.to_pandas()

@@ -67,6 +67,18 @@ def _null(value: Any) -> bool:
     return value is None or (pd.api.types.is_scalar(value) and bool(pd.isna(value)))
 
 
+def _local_rows(spark: SparkSession, rows: Sequence[Mapping[str, Any]], schema: Any) -> DataFrame:
+    """``rows``, mappings of the values a ``toPandas()`` row holds, as a
+    frame of local data with ``schema``: every null (None, or NaN where
+    pandas holds one) is None and every numpy scalar a Python one, which
+    Spark takes with Arrow off too."""
+
+    def value(v: Any) -> Any:
+        return None if _null(v) else v.item() if isinstance(v, np.generic) else v
+
+    return spark.createDataFrame([tuple(value(row[c]) for c in schema.names) for row in rows], schema)
+
+
 @dataclass(frozen=True)
 class Place:
     """Where a row ``extract_one`` took was stored: partition ``pid`` of the
@@ -284,27 +296,24 @@ class SparkPieces:
 
     def view(self, pending: PendingDecisions) -> DataFrame | None:
         """The items as a lazy frame whose partitions hold ``pending.keep``
-        rows: every piece with its pending decisions applied, in order."""
+        rows, the pieces' in order. Centralized decisions: one filter over
+        the union of the pieces, addressed by the union's partition ids,
+        with one broadcast table for all their bitmaps. Distributed
+        decisions: each piece that a decision touched is filtered by its
+        own ``rand`` order, and the union sits above those filters."""
         if not self.frames:
             return None
+        touched = [j for j, (k, size) in enumerate(zip(pending.keep, pending.stored)) if k < size]
+        if pending.strategy == "cent":
+            pieces = [self._guard] + [self._frame(piece) for piece, _, _ in self.frames]
+            union = functools.reduce(DataFrame.unionByName, pieces)
+            return keep_offsets(union, {j: pending.offsets(j) for j in touched}, pending.stored)
         parts, first = [self._guard], 0
         for piece, n_parts, op in self.frames:
-            parts.append(self._apply(pending, self._frame(piece), first, n_parts, op))
+            windows = {j - first: (pending.lo[j], pending.keep[j]) for j in touched if first <= j < first + n_parts}
+            parts.append(keep_first(self._frame(piece), windows, seed=self.seed, round_no=op))
             first += n_parts
         return functools.reduce(DataFrame.unionByName, parts)
-
-    def _apply(
-        self, pending: PendingDecisions, frame: DataFrame, first: int, n_parts: int, op: int
-    ) -> DataFrame:
-        """A piece's frame (partitions ``first ..``) with its pending
-        decisions applied: one filter over it."""
-        parts = slice(first, first + n_parts)
-        stored, keep = pending.stored[parts], pending.keep[parts]
-        touched = [pid for pid, k in enumerate(keep) if k < stored[pid]]
-        if pending.strategy == "cent":
-            return keep_offsets(frame, {pid: pending.offsets(first + pid) for pid in touched}, stored)
-        windows = {pid: (pending.lo[first + pid], keep[pid]) for pid in touched}
-        return keep_first(frame, windows, seed=self.seed, round_no=op)
 
     def row(self, pid: int, offset: int | None = None, *, rank: int = 0) -> LazyRow:
         """Stored partition ``pid``'s row at ``offset`` or, if that is None,
@@ -422,31 +431,36 @@ class CoPartitionedReservoir:
     learn the pandas dtypes of an item. ``to_pandas`` runs 1, with the
     extracted rows it is given. The reservoir *merges* when it has more than
     ``4·P`` partitions: one pass (1 job) applies the pending decisions
-    through ``common.keep_first`` or ``common.keep_offsets``, ``coalesce``-s
-    to ``P`` partitions, reads their sizes through ``DataFrame.observe`` and
-    checkpoints. Cent-CP adds 1 job per piece that ships more than 64
-    offsets, to broadcast its bitmaps (a saturated Cent-CP round at 10k
-    rows, n = 20k, P = 4: 7 jobs when it merges five pieces). So a Dist-CP
-    D-R-TBS round runs 1 job per non-empty batch and 1 per merge. ``df`` is
-    the lazy view of the items that a merge checkpoints.
+    through ``common.keep_first`` per piece or ``common.keep_offsets`` over
+    the union of the pieces, ``coalesce``-s to ``P`` partitions, reads
+    their sizes through ``DataFrame.observe`` and checkpoints. Cent-CP adds
+    1 job when more than 64 offsets are shipped, to broadcast the one table
+    of every partition's bitmap (a saturated Cent-CP round at 10k rows,
+    n = 20k, P = 4: 3 jobs when it merges). So a Dist-CP D-R-TBS round runs
+    1 job per non-empty batch and 1 per merge. ``df`` is the lazy view of
+    the items that a merge checkpoints.
 
     CRITICAL evaluation-order invariants: ``spark_partition_id()``,
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
     of the plan they are evaluated over, and ``rand`` advances once per row
-    it is evaluated on. Every row address and every piece's ``rand`` order
-    (the filters, the fetch) is therefore projected directly over one piece,
-    before any row is dropped (``common.in_order``): a checkpointed batch or
+    it is evaluated on. Every piece's ``rand`` order (Dist-CP's filters, the
+    fetch) is therefore projected directly over its piece, and every row
+    address over its piece or over the union of the pieces (Cent-CP's
+    filter), whose partitions are the pieces' in order, before any row is
+    dropped (``common.in_order``). A piece is a checkpointed batch or
     merge, whose partitions and offsets the driver counted, or a put-back
-    row's frame, whose one row has address 0 and rank 0 however Spark
-    evaluates it. Every filter, union and the merge's ``coalesce`` sit above
-    those projections. Unions put a zero-partition frame first: Spark 4.1
-    merges partition i of every child when all of them report a single
-    partition (``spark.sql.unionOutputPartitioning``), and one child that
-    does not keeps the partitions concatenated, so the view's partitions are
-    the ``sizes`` the driver holds. Over a frame of local data Spark's
-    optimizer would evaluate the ids on the driver as if it were one
-    partition, so batches arrive checkpointed (``DRTBS.advance``); a
-    put-back row's frame is one partition anyway.
+    row's frame, whose one row has offset 0 and rank 0 however Spark
+    evaluates it. Every filter, the view's union over Dist-CP's filters and
+    the merge's ``coalesce`` sit above those projections. Unions put a
+    zero-partition frame first: Spark 4.1 merges partition i of every child
+    when all of them report a single partition
+    (``spark.sql.unionOutputPartitioning``), and one child that does not
+    keeps the partitions concatenated, so the view's partitions are the
+    ``sizes`` the driver holds. Over a frame of local data Spark's optimizer
+    would evaluate the ids on the driver as if it were one partition, so
+    batches arrive checkpointed (``DRTBS.advance`` keeps a checkpoint
+    already written and checkpoints any other frame); a put-back row's
+    frame is one partition anyway.
 
     Every expression is a SQL string (``F.expr``, ``selectExpr``, a string
     ``filter``), never a ``Column`` method or ``F.col``: PySpark records
@@ -668,11 +682,8 @@ class KVReservoir:
             return
         slots = np.arange(self.next_slot, self.next_slot + len(rows), dtype=np.int64)
         self.next_slot += len(rows)
-        pdf = pd.DataFrame(rows)
-        pdf[self.SLOT] = slots
-        # createDataFrame matches columns by position, and the joins of
-        # keep_random put the slot column first.
-        small = self.spark.createDataFrame(pdf[self.df.columns], schema=self.df.schema)
+        keyed = [{**row, self.SLOT: slot} for row, slot in zip(rows, slots)]
+        small = _local_rows(self.spark, keyed, self.df.schema)
         self.live_slots = np.concatenate([self.live_slots, slots])
         self._write(self.df, small)
 
@@ -693,11 +704,16 @@ class KVReservoir:
             self._materialize(self.df.limit(0))
         self.live_slots = np.empty(0, dtype=np.int64)
 
-    def to_pandas(self) -> pd.DataFrame:
+    def to_pandas(self, *rows: Mapping[str, Any]) -> pd.DataFrame:
+        """The items, then ``rows`` (rows extracted earlier), realized in
+        one Spark job."""
         if self.df is None:
             return pd.DataFrame()
+        items = self.df.drop(self.SLOT)
+        if rows:
+            return items.unionByName(_local_rows(self.spark, rows, items.schema)).toPandas()
         if self.count:
-            return self.df.drop(self.SLOT).toPandas()
+            return items.toPandas()
         if self._empty is None:  # one Spark job, then none per realization
-            self._empty = self.df.drop(self.SLOT).toPandas()
+            self._empty = items.toPandas()
         return self._empty.copy()

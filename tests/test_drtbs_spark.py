@@ -566,6 +566,34 @@ class TestLazyPartial:
         assert reads[0][0]["k"] is None and reads[0][1]["x"] is None and reads[0][1]["s"] is None
         assert type(reads[0][1]["k"]) is np.int64 and reads[0][1]["k"] == 7
 
+    @pytest.mark.parametrize("kw", VARIANTS, ids=IDS)
+    def test_null_partial_read_or_unread(self, spark, kw):
+        """A partial item that holds its column's only null realizes the
+        same sample, dtypes and all, in 1 Spark job, whether or not its
+        values were read first, and every variant gives the sample the
+        dtypes Spark gives those rows: the null long makes its column
+        float64."""
+        schema = "t long, k long, x double, s string"
+        seed = next(s for s in range(40) if np.random.default_rng(s).random() < 0.5)
+
+        def play(read):
+            d = DRTBS(spark, math.log(2), 20, seed=4, target_partitions=2, **kw)
+            d.advance(spark.createDataFrame([(0, None, 0.5, "p")], schema))  # C = 1
+            d.advance(spark.createDataFrame([], schema))  # Alg. 3 case 1: C = 0.5, the row is the partial item
+            full = spark.range(0, 5, 1, 2).selectExpr("1L AS t", "id AS k", "id * 0.25D AS x", "concat('s', id) AS s")
+            d.advance(full.localCheckpoint(eager=True), dt=0.0)  # C = 5.5
+            assert d.reservoir.count == 5 and d.partial is not None
+            if read:
+                assert pd.isna(dict(d.partial)["k"])
+            group = f"null-partial-{'-'.join(kw.values())}-{read}"
+            return jobs_in(spark.sparkContext, group, lambda: d.sample_pandas(rng=np.random.default_rng(seed)))
+
+        (read, read_jobs), (unread, unread_jobs) = play(True), play(False)
+        assert read_jobs == unread_jobs == 1
+        pd.testing.assert_frame_equal(read, unread)
+        assert len(read) == 6 and read["k"].isna().sum() == 1 and read["t"].tolist()[-1] == 0
+        assert read.dtypes.astype(str).tolist() == ["int64", "float64", "float64", "object"]
+
 
 class TestPutBackPieces:
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
@@ -603,9 +631,10 @@ class TestPutBackPieces:
 
 
 class TestJobsPerRound:
-    """Spark jobs of Dist-CP D-R-TBS rounds, read from ``statusTracker``:
-    one to size a non-empty batch and one more when the reservoir merges.
-    An extract runs none: no row is fetched during a round."""
+    """Spark jobs of co-partitioned D-R-TBS rounds, read from
+    ``statusTracker``: one to size a non-empty batch and one more when the
+    reservoir merges (Cent-CP: two). An extract runs none: no row is
+    fetched during a round."""
 
     def test_bursty_rounds(self, spark, monkeypatch):
         from repro.distributed import reservoir
@@ -637,6 +666,51 @@ class TestJobsPerRound:
             assert res.sizes == rows and sum(rows) == math.floor(sampler.sample_weight + 1e-9), t
             assert len(res.sizes) <= 4 * P + P, (t, res.sizes)
         assert len(merges) >= 3, "a cycle without a merge"
+
+    def test_cent_merging_rounds(self, spark, monkeypatch):
+        """Cent-CP: a saturated round runs 1 job to size its batch, and a
+        round that merges 2 more, the merge's pass and the broadcast of one
+        table with every partition's offset bitmap, however many pieces
+        ship more than 64 offsets."""
+        P, n, b = 4, 4000, 2000
+        sampler = DRTBS(spark, 0.3, n, seed=5, storage="cp", strategy="cent", target_partitions=P)
+        sampler.advance(range_batch(spark, 0, 2 * n, P))
+        res, merges = sampler.reservoir, []
+        merge = res._merge
+        monkeypatch.setattr(res, "_merge", lambda: merges.append(1) or merge())
+        sc = spark.sparkContext
+        for t in range(1, 13):
+            batch = range_batch(spark, t, b, P)
+            before = len(merges)
+            _, jobs = jobs_in(sc, f"cent-round-{t}", lambda: sampler.advance(batch))
+            merged = len(merges) - before
+            assert sampler.total_weight >= n and merged <= 1, (t, merged)
+            assert jobs == 1 + 2 * merged, (t, jobs, merged)
+            assert res.sizes == partition_sizes(res.df) and res.count == n, t
+        assert len(merges) >= 2, "fewer than two merges"
+
+
+class TestBatchCheckpoint:
+    """``advance`` stores a batch that arrives as a checkpoint already
+    written as it is, and checkpoints any other frame once, lazily, for
+    its sizing pass to write."""
+
+    def test_checkpoints_only_unwritten_batches(self, spark, monkeypatch):
+        d = DRTBS(spark, 0.0, 1000, seed=2, storage="cp", strategy="dist", target_partitions=4)
+        d.advance(range_batch(spark, 0, 40, 4))
+        lazy = spark.range(0, 40, 1, 4).selectExpr("CAST(3 AS long) AS t", "id AS i").localCheckpoint(eager=False)
+        batches = [("eager", range_batch(spark, 1, 40, 4), 0), ("local data", make_batch(spark, 2, 40), 1),
+                   ("lazy", lazy, 1)]
+        frame = type(lazy)
+        calls = []
+        checkpoint = frame.localCheckpoint
+        monkeypatch.setattr(frame, "localCheckpoint", lambda df, *a, **kw: calls.append(df) or checkpoint(df, *a, **kw))
+        for kind, batch, want in batches:
+            made = len(calls)
+            d.advance(batch)
+            assert len(calls) - made == want, kind
+            assert d.reservoir.sizes == d.reservoir.df.rdd.glom().map(len).collect(), kind
+        assert d.reservoir.count == 160 and len(d.reservoir.sizes) == 16
 
 
 class TestExtracts:
