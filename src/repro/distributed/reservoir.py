@@ -67,11 +67,20 @@ def _null(value: Any) -> bool:
     return value is None or (pd.api.types.is_scalar(value) and bool(pd.isna(value)))
 
 
+def _row_values(frame: pd.DataFrame, i: int) -> dict[str, Any]:
+    """Row ``i`` of a ``toPandas()`` frame, read column by column, so each
+    value keeps its column's dtype (``frame.iloc[i]`` would make every
+    value a float when all columns are numeric and one is a float), and
+    every null (None, or NaN where pandas holds one) is None. The one
+    reader of a row from Spark."""
+    return {c: None if _null(v := frame[c].iloc[i]) else v for c in frame.columns}
+
+
 def _local_rows(spark: SparkSession, rows: Sequence[Mapping[str, Any]], schema: Any) -> DataFrame:
     """``rows``, mappings of the values a ``toPandas()`` row holds, as a
     frame of local data with ``schema``: every null (None, or NaN where
     pandas holds one) is None and every numpy scalar a Python one, which
-    Spark takes with Arrow off too."""
+    Spark takes with Arrow off too. The one writer of a row into Spark."""
 
     def value(v: Any) -> Any:
         return None if _null(v) else v.item() if isinstance(v, np.generic) else v
@@ -95,29 +104,19 @@ class Place:
 class LazyRow(Mapping):
     """A row ``extract_one`` took from a stored partition, known by its
     ``place`` until something reads its values. The first read resolves
-    them (``resolve(place, None)``, one Spark job) and keeps them. Testing
-    it against None, putting it back with ``insert_rows``, a merge and
-    ``clear()`` read nothing: a row put back becomes a piece that the store
-    realizes from its place."""
+    them (``resolve(place)``, one Spark job) and keeps them. Testing it
+    against None, putting it back with ``insert_rows``, a merge, a
+    realization that includes it and ``clear()`` read nothing: a row put
+    back becomes a piece that the store realizes from its place."""
 
-    def __init__(self, place: Place, resolve: Callable[[Place, Mapping[str, Any] | None], Mapping[str, Any]]):
+    def __init__(self, place: Place, resolve: Callable[[Place], Mapping[str, Any]]):
         self.place = place
         self._resolve = resolve
-        self._read: Mapping[str, Any] | None = None  # values read along with other rows
         self._row: Mapping[str, Any] | None = None
-
-    @property
-    def read(self) -> bool:
-        return self._read is not None or self._row is not None
-
-    def fill(self, values: Mapping[str, Any]) -> None:
-        """Keep ``values``, read in a job that realized this row anyway;
-        the first read types them as ``resolve(place, values)`` does."""
-        self._read = values
 
     def _values(self) -> Mapping[str, Any]:
         if self._row is None:
-            self._row = self._resolve(self.place, self._read)
+            self._row = self._resolve(self.place)
         return self._row
 
     def __getitem__(self, key: str) -> Any:
@@ -271,7 +270,8 @@ class SparkPieces:
     back, read as a frame of one partition (``_frame``). Given the
     driver's ``PendingDecisions``, it realizes the items as a lazy view,
     names a stored row as a ``LazyRow``, or merges the items into one new
-    piece."""
+    piece. A row crosses one way each: into Spark through ``_local_rows``,
+    out of it through ``_row_values`` over a ``toPandas()`` frame."""
 
     def __init__(self, spark: SparkSession, *, seed: int):
         self.spark = spark
@@ -349,30 +349,20 @@ class SparkPieces:
     def _frame(self, piece: DataFrame | Mapping[str, Any]) -> DataFrame:
         """A piece as a frame. A row put back becomes a lazy frame of one
         partition, with no Spark job: a ``LazyRow`` read from its place,
-        any other row from local data. It is built only when a view or a
-        fetch reads it: building its plan takes about 25 ms of calls into
-        the JVM (4-core host), which a put-back would otherwise wait for."""
+        any other row from local data (``_local_rows``). It is built only
+        when a view or a fetch reads it: building its plan takes about
+        25 ms of calls into the JVM (4-core host), which a put-back would
+        otherwise wait for."""
         if isinstance(piece, DataFrame):
             return piece
         if isinstance(piece, LazyRow):
             return self._select(piece.place)
-        local = pd.DataFrame([piece], columns=self.schema.names)
-        return self.spark.createDataFrame(local, schema=self.schema).coalesce(1)
+        return _local_rows(self.spark, [piece], self.schema).coalesce(1)
 
-    def fetch(self, place: Place, values: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        """The values of the row at ``place`` with the types of a
-        ``to_pandas()`` row: every null (None, or NaN where pandas holds
-        one) is None, every other value is cast to its column's pandas
-        dtype. ``values`` are the row's, read in a job that realized it
-        with other rows; without them, one Spark job reads them. The first
-        fetch adds one job to learn the pandas dtypes."""
-        if values is None:
-            (row,) = self._select(place).collect()
-            values = row.asDict()
-        empty = self._empty_items()
-        item = {c: None if _null(values[c]) else values[c] for c in empty.columns}
-        dtypes = {c: t for c, t in empty.dtypes.items() if item[c] is not None}
-        return dict(pd.DataFrame([item], columns=empty.columns).astype(dtypes).iloc[0])
+    def fetch(self, place: Place) -> dict[str, Any]:
+        """The values of the row at ``place``, read in one Spark job from
+        the frame a realization unions in for it."""
+        return _row_values(self._select(place).toPandas(), 0)
 
     def merge(self, view: DataFrame, P: int) -> list[int]:
         """Rewrite the items into one piece of at most ``P`` partitions in
@@ -383,28 +373,17 @@ class SparkPieces:
         self.add(merged, sizes)
         return sizes
 
-    def _empty_items(self) -> pd.DataFrame:
-        """An empty reservoir's items, with the columns and pandas dtypes
-        of ``to_pandas()``: one Spark job, then none."""
-        if self._empty is None:
-            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
-        return self._empty
-
     def to_pandas(self, view: DataFrame | None, rows: Sequence[LazyRow] = ()) -> pd.DataFrame:
         """The items of ``view``, then ``rows``, realized in one Spark job;
-        each of ``rows`` keeps the values read for it, for ``fetch`` to
-        type."""
-        if rows:
-            frames = ([view] if view is not None else []) + [self._select(r.place) for r in rows]
-            out = functools.reduce(DataFrame.unionByName, frames).toPandas()
-            for i, row in enumerate(rows, start=len(out) - len(rows)):
-                row.fill(dict(out.iloc[i]))
-            return out
-        if view is not None:
-            return view.toPandas()
+        reading ``rows`` later still runs their ``fetch``."""
+        frames = ([view] if view is not None else []) + [self._select(r.place) for r in rows]
+        if frames:
+            return functools.reduce(DataFrame.unionByName, frames).toPandas()
         if self.schema is None:
             return pd.DataFrame()
-        return self._empty_items().copy()
+        if self._empty is None:  # one Spark job, then none per realization
+            self._empty = self.spark.createDataFrame([], self.schema).toPandas()
+        return self._empty.copy()
 
 
 class CoPartitionedReservoir:
@@ -427,18 +406,18 @@ class CoPartitionedReservoir:
     ``extract_one``, and ``insert_all`` and ``replace_random`` given a batch
     the caller sized (``DRTBS.advance`` sizes it in one job), run none.
     ``extract_one`` returns a ``LazyRow``, read in 1 job (a top-1 over its
-    piece) when something first reads its values; the first read adds 1 to
-    learn the pandas dtypes of an item. ``to_pandas`` runs 1, with the
-    extracted rows it is given. The reservoir *merges* when it has more than
-    ``4·P`` partitions: one pass (1 job) applies the pending decisions
-    through ``common.keep_first`` per piece or ``common.keep_offsets`` over
-    the union of the pieces, ``coalesce``-s to ``P`` partitions, reads
-    their sizes through ``DataFrame.observe`` and checkpoints. Cent-CP adds
-    1 job when more than 64 offsets are shipped, to broadcast the one table
-    of every partition's bitmap (a saturated Cent-CP round at 10k rows,
-    n = 20k, P = 4: 3 jobs when it merges). So a Dist-CP D-R-TBS round runs
-    1 job per non-empty batch and 1 per merge. ``df`` is the lazy view of
-    the items that a merge checkpoints.
+    piece) when something first reads its values. ``to_pandas`` runs 1,
+    with the extracted rows it is given, and leaves them unread. The
+    reservoir *merges* when it has more than ``4·P`` partitions: one pass
+    (1 job) applies the pending decisions through ``common.keep_first``
+    per piece or ``common.keep_offsets`` over the union of the pieces,
+    ``coalesce``-s to ``P`` partitions, reads their sizes through
+    ``DataFrame.observe`` and checkpoints. Cent-CP adds 1 job when more
+    than 64 offsets are shipped, to broadcast the one table of every
+    partition's bitmap (a saturated Cent-CP round at 10k rows, n = 20k,
+    P = 4: 3 jobs when it merges). So a Dist-CP D-R-TBS round runs 1 job
+    per non-empty batch and 1 per merge. ``df`` is the lazy view of the
+    items that a merge checkpoints.
 
     CRITICAL evaluation-order invariants: ``spark_partition_id()``,
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
@@ -675,7 +654,7 @@ class KVReservoir:
         row = self.df.filter(f"{self.SLOT} = {slot}").drop(self.SLOT).toPandas()
         self.live_slots = self.live_slots[self.live_slots != slot]
         self._materialize(self.df.filter(f"{self.SLOT} != {slot}"))
-        return dict(row.iloc[0])
+        return _row_values(row, 0)
 
     def insert_rows(self, rows: list[dict[str, Any]]) -> None:
         if not rows:

@@ -6,6 +6,7 @@ with the exhaustively-tested serial R-TBS, so these tests focus on:
 for the same batch-size sequence, (ii) structural invariants of the
 distributed reservoir, and (iii) cross-variant agreement.
 """
+import itertools
 import math
 import re
 
@@ -228,9 +229,14 @@ class TestArrowOff:
         pd.testing.assert_frame_equal(samples[0], samples[1])
 
 
+_GROUPS = itertools.count()
+
+
 def jobs_in(sc, group, action):
-    """Run ``action`` in a job group; return its result and the number of
-    Spark jobs it launched."""
+    """Run ``action`` in a job group of its own (``group`` and a suffix no
+    other call uses, so no earlier job is counted); return its result and
+    the number of Spark jobs it launched."""
+    group = f"{group}-{next(_GROUPS)}"
     sc.setJobGroup(group, group)
     try:
         out = action()
@@ -283,6 +289,20 @@ class TestOnePassExtract:
         rest = R.to_pandas()
         assert item["i"] not in set(rest["i"]) and item["i"] in set(source["i"])
         assert not rest.duplicated().any()
+
+    @pytest.mark.parametrize("strategy", ["dist", "cent"])
+    def test_first_read_runs_one_job(self, spark, strategy):
+        """A fresh reservoir's first extracted row is read in 1 Spark job,
+        over the frame a realization would union in for it, and keeps its
+        values: a second read runs none."""
+        R, source = self.filled(spark, strategy)
+        row, sc = R.extract_one(), spark.sparkContext
+        values, first = jobs_in(sc, f"first-read-{strategy}", lambda: dict(row))
+        _, again = jobs_in(sc, f"second-read-{strategy}", lambda: dict(row))
+        assert (first, again) == (1, 0)
+        want = source.set_index("i", drop=False).loc[values["i"]]
+        for col, value in values.items():
+            assert value == want[col] and type(value) is type(want[col]), col
 
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_extract_from_one_row_partition(self, spark, strategy):
@@ -491,20 +511,24 @@ class TestLazyPartial:
         """Reading the partial item after every round, or only at the end,
         gives the same partial item, dtypes and all, and the same realized
         sample, through merges and a Case-1 ``clear()``. A realized sample
-        runs 1 Spark job whether or not it draws the unread partial item."""
+        runs 1 Spark job whether or not it draws the unread partial item,
+        and leaves it unread: its first read runs 1 job, a second none."""
         early, counts = self.play(spark, kw, P, read=True)
         late, late_counts = self.play(spark, kw, P, read=False)
         assert counts == late_counts and counts["_merge"] > 0 and counts["clear"] > 0, counts
-        assert late.partial is not None and not late.partial.read
+        assert late.partial is not None
         draws = [np.random.default_rng(seed).random() < late.sample_weight % 1 for seed in range(40)]
         seed, other = draws.index(True), draws.index(False)
         group, sc = f"sample-{kw['strategy']}-{P}", spark.sparkContext
         without, jobs = jobs_in(sc, group + "-without", lambda: late.sample_pandas(rng=np.random.default_rng(other)))
-        assert jobs == 1 and len(without) == late.reservoir.count and not late.partial.read
+        assert jobs == 1 and len(without) == late.reservoir.count
         got, jobs = jobs_in(sc, group + "-with", lambda: late.sample_pandas(rng=np.random.default_rng(seed)))
-        assert jobs == 1 and late.partial.read and len(got) == late.reservoir.count + 1
+        assert jobs == 1 and len(got) == late.reservoir.count + 1
         pd.testing.assert_frame_equal(got, early.sample_pandas(rng=np.random.default_rng(seed)))
-        a, b = dict(early.partial), dict(late.partial)
+        b, first = jobs_in(sc, group + "-first-read", lambda: dict(late.partial))
+        _, again = jobs_in(sc, group + "-second-read", lambda: dict(late.partial))
+        assert (first, again) == (1, 0)
+        a = dict(early.partial)
         assert a == b and [type(v) for v in a.values()] == [type(v) for v in b.values()]
         pd.testing.assert_frame_equal(pd.DataFrame([a]), pd.DataFrame([b]))
         pd.testing.assert_frame_equal(late.reservoir.to_pandas(), early.reservoir.to_pandas())
@@ -514,7 +538,8 @@ class TestLazyPartial:
     def test_put_back_row_survives_merge(self, spark, strategy, P):
         """A row Swap1 puts back unread, then a merge rewrites, comes back
         with its values and pandas dtypes; the lazy row itself reads them
-        from the piece it was taken from."""
+        from the piece it was taken from, in 1 Spark job: neither the
+        put-back nor the merge read it."""
         R = CoPartitionedReservoir(spark, strategy=strategy, seed=5, target_partitions=P)
         batch = typed_batch(spark, 40)
         R.insert_all(batch, partition_sizes(batch))
@@ -527,12 +552,13 @@ class TestLazyPartial:
                 break
             more = spark.range(100 * k, 100 * k + 4, 1, 1).selectExpr(*TYPED_COLUMNS).localCheckpoint(eager=True)
             R.insert_all(more, [4])
-        assert len(R.pieces.frames) == 1 and not row.read, "no merge"
+        assert len(R.pieces.frames) == 1, "no merge"
+        i, jobs = jobs_in(spark.sparkContext, f"put-back-read-{strategy}-{P}", lambda: row["i"])
+        assert jobs == 1
         items = R.to_pandas().set_index("i", drop=False)
         assert R.sizes == R.df.rdd.glom().map(len).collect()
         ours = items.loc[items.index < 40].sort_index()
         pd.testing.assert_frame_equal(ours, source.loc[ours.index])
-        i = row["i"]
         assert i in ours.index
         for col, value in row.items():
             want = source.loc[i, col]
@@ -547,20 +573,22 @@ class TestLazyPartial:
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_nulls_read_late_or_early(self, spark, strategy):
         """Rows with long, double and string nulls read the same whether
-        each is fetched alone or read in one frame with the other, where
-        every column holds a null: a null is None and a value keeps its
+        each is read at once or after a realization that held both, where
+        every column holds a null; the realization reads neither, so each
+        read runs its own Spark job. A null is None and a value keeps its
         column's pandas dtype."""
         rows = [(1, None, 2.5, "a"), (2, 7, None, None)]
         batch = spark.createDataFrame(rows, "t long, k long, x double, s string").localCheckpoint(eager=True)
-        reads = []
+        reads, sc = [], spark.sparkContext
         for early in (True, False):
             R = CoPartitionedReservoir(spark, strategy=strategy, seed=3)
             R.insert_all(batch, partition_sizes(batch))
             extracted = [R.extract_one(), R.extract_one()]
             if not early:
                 R.to_pandas(*extracted)
-            assert all(row.read for row in extracted) != early
-            reads.append(sorted((dict(row) for row in extracted), key=lambda row: row["t"]))
+            read = [jobs_in(sc, f"nulls-{strategy}-{early}", lambda: dict(row)) for row in extracted]
+            assert [jobs for _, jobs in read] == [1, 1], read
+            reads.append(sorted((row for row, _ in read), key=lambda row: row["t"]))
         assert reads[0] == reads[1], reads
         assert [type(v) for r in reads[0] for v in r.values()] == [type(v) for r in reads[1] for v in r.values()]
         assert reads[0][0]["k"] is None and reads[0][1]["x"] is None and reads[0][1]["s"] is None
@@ -595,6 +623,56 @@ class TestLazyPartial:
         assert read.dtypes.astype(str).tolist() == ["int64", "float64", "float64", "object"]
 
 
+class TestAllNumericRows:
+    """A row crosses between Spark and Python one way in each direction:
+    read column by column from a ``toPandas()`` frame, written as local
+    data.
+    Read as ``frame.iloc[k]``, a row of all-numeric columns, one of them a
+    float, would turn every long into a float, which a key-value store
+    cannot write back into a ``long`` column."""
+
+    @pytest.mark.parametrize("arrow", ["true", "false"])
+    @pytest.mark.parametrize("kw", VARIANTS, ids=IDS)
+    def test_partial_keeps_column_types(self, spark, kw, arrow):
+        """λ = ln 2, n = 20, P = 2, batches of 30/0/7/0/3 rows 0.7 apart:
+        the partial item moves by Swap1 and Move1 through every variant,
+        and after each round each of its values has the type that its
+        batch's ``toPandas()`` gives it (``k`` is null in every row of
+        batch 2 and in no other row), and a null is None. A co-partitioned
+        reservoir takes back a plain mapping whose ``long`` column holds
+        NaN, with Arrow on or off."""
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        old = spark.conf.get(key)
+        spark.conf.set(key, arrow)
+        try:
+            d = DRTBS(spark, math.log(2), 20, seed=4, target_partitions=2, **kw)
+            sources, partials = {}, 0
+            for t, b in enumerate([30, 0, 7, 0, 3]):
+                columns = [f"CAST({t} AS long) AS t", "id AS i", "id * 0.5D AS x", f"IF({t} = 2, NULL, id) AS k"]
+                batch = spark.range(0, b, 1, 2).selectExpr(*columns).localCheckpoint(eager=True)
+                sources[t] = batch.toPandas()
+                d.advance(batch, dt=0.7)
+                if d.partial is None:
+                    continue
+                partials += 1
+                row = dict(d.partial)
+                source = sources[int(row["t"])]
+                for col, value in row.items():
+                    want = source[col].iloc[int(row["i"])]
+                    if pd.isna(want):
+                        assert value is None, (t, col, value)
+                    else:
+                        assert value == want and type(value) is type(want), (t, col, value, want)
+            assert partials >= 3
+            if kw["storage"] == "cp":
+                count = d.reservoir.count
+                d.reservoir.insert_rows([{"t": 9, "i": 0, "x": 0.5, "k": np.nan}])
+                out = d.reservoir.to_pandas()
+                assert len(out) == count + 1 and out.loc[out["t"] == 9, "k"].isna().tolist() == [True]
+        finally:
+            spark.conf.set(key, old)
+
+
 class TestPutBackPieces:
     @pytest.mark.parametrize("strategy", ["dist", "cent"])
     def test_swap1_cycles_merge(self, spark, strategy):
@@ -624,7 +702,8 @@ class TestPutBackPieces:
             assert jobs == (n_parts[-1] < n_parts[-2]), (k, jobs, n_parts)
             previous = row
         assert any(b < a for a, b in zip(n_parts, n_parts[1:])), ("no merge", n_parts)
-        assert not previous.read
+        _, jobs = jobs_in(sc, f"put-back-read-{strategy}", lambda: previous["t"])
+        assert jobs == 1, "read before"
         items = rows_of(R.to_pandas())
         assert len(items) == R.count == 11 and (previous["t"], previous["i"]) not in items
         assert items | {(previous["t"], previous["i"])} == {(0, i) for i in range(12)}

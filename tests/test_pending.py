@@ -66,7 +66,7 @@ class ListPieces:
 
     def row(self, pid, offset=None, *, rank=0):
         place = Place((self.parts[pid], self.orders[pid]), pid, offset, rank)
-        return LazyRow(place, lambda place, values: {"label": at(place)})
+        return LazyRow(place, lambda place: {"label": at(place)})
 
     def merge(self, view, P):
         # coalesce: whole partitions grouped into at most P
