@@ -33,9 +33,8 @@ Two decision strategies from the paper:
 * **Centralized** — the master samples *global slot numbers* and maps
   each to a ``(partition, offset)`` pair using cumulative partition
   sizes (``central_positions``); ``keep_offsets`` keeps the rows at those
-  addresses by a filter on the row address (few) or by a broadcast join
-  on the partition id that brings each row its partition's bitmap of
-  offsets (many).
+  offsets by a filter that probes each row's offset in its partition's
+  bitmap of offsets, written into the filter as a literal.
 * **Distributed** — the master samples only a per-partition *count*
   vector from the multivariate hypergeometric law
   (``distributed_counts``); ``keep_first`` orders each partition's rows
@@ -54,7 +53,6 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, Observation
 from pyspark.sql import functions as F
 
@@ -63,11 +61,8 @@ from repro.rng import multivariate_hypergeometric_split
 ROW = "__row"  # row address (pid << 33) + offset, before any reordering
 RANK = "__rank"  # the same after ordering each partition by rand(s)
 RAND = "__rand"  # the rand(s) value that orders a partition
-_PID = "__pid"
-_BITMAP = "__bitmap"  # a partition's picked offsets, 64 to a word
 _PID_SHIFT = 33  # monotonically_increasing_id's partition-id shift
 _OFFSET_MASK = (1 << _PID_SHIFT) - 1  # an address's offset bits
-_INLINE_ADDRESSES = 64  # larger address sets are broadcast as bitmaps
 
 
 def checkpoint_rdd(df: DataFrame) -> Any:
@@ -86,11 +81,17 @@ def materialized(df: DataFrame) -> bool:
     return rdd is not None and rdd.isCheckpointed()
 
 
+def num_partitions(df: DataFrame) -> int:
+    """``df``'s partition count, read from its checkpoint's JVM RDD when it
+    is one (no Python RDD to build), else from ``df.rdd``."""
+    rdd = checkpoint_rdd(df)
+    return (rdd if rdd is not None else df.rdd).getNumPartitions()
+
+
 def partition_sizes(df: DataFrame) -> list[int]:
     """Row count of every partition, indexed by partition id, from one
     single-stage Spark job (no shuffle, no rows sent to the driver)."""
-    rdd = checkpoint_rdd(df)
-    n_parts = rdd.getNumPartitions() if rdd is not None else df.rdd.getNumPartitions()
+    n_parts = num_partitions(df)
     if n_parts == 0:
         return []
     return observed_sizes(df, n_parts, lambda d: d.write.format("noop").mode("overwrite").save())[1]
@@ -159,12 +160,12 @@ def addresses(positions: Mapping[int, np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
-def _bitmap(offsets: np.ndarray) -> list[int]:
-    """Offsets as signed 64-bit words: offset ``o`` is bit ``o % 64`` of
-    word ``o // 64``. Python ints, which Spark takes with Arrow off too."""
+def _bitmap(offsets: np.ndarray) -> str:
+    """Offsets as a JSON array of signed 64-bit words: offset ``o`` is bit
+    ``o % 64`` of word ``o // 64``."""
     words = np.zeros(offsets.max() // 64 + 1, dtype=np.uint64)
     np.bitwise_or.at(words, offsets // 64, np.uint64(1) << (offsets % 64).astype(np.uint64))
-    return words.view(np.int64).tolist()
+    return str(words.view(np.int64).tolist())
 
 
 def _rand_seed(seed: int, round_no: int) -> int:
@@ -221,38 +222,22 @@ def keep_first(
     return _by_partition(rows, picked, piece.columns)
 
 
-def keep_offsets(piece: DataFrame, offsets: Mapping[int, np.ndarray], sizes: Sequence[int]) -> DataFrame:
-    """Centralized decisions: partition ``pid`` of ``piece`` (``sizes[pid]``
-    rows) keeps only its rows at ``offsets[pid]``; the other partitions
-    pass through. Each partition ships its smaller side: a keep of more
-    than half its rows becomes a drop of the rest. Up to
-    ``_INLINE_ADDRESSES`` shipped addresses are listed inline; more are
-    broadcast as one bitmap per partition. One pass, no shuffle."""
+def keep_offsets(piece: DataFrame, offsets: Mapping[int, np.ndarray]) -> DataFrame:
+    """Centralized decisions: partition ``pid`` of ``piece`` keeps only its
+    rows at ``offsets[pid]``; the other partitions pass through. Each
+    partition's offsets are a bitmap written into the filter as a JSON
+    literal, which Spark's optimizer folds into one array constant, so the
+    filter's tasks carry them. One pass, no shuffle, no job of its own."""
     if not offsets:
         return piece
-    drops = {pid for pid, offs in offsets.items() if 2 * len(offs) > sizes[pid]}
-    shipped = {}
-    for pid, offs in offsets.items():
-        offs = np.setdiff1d(np.arange(sizes[pid]), offs) if pid in drops else np.asarray(offs, dtype=np.int64)
-        if len(offs):
-            shipped[pid] = offs
     rows = piece.selectExpr("*", f"monotonically_increasing_id() AS {ROW}")
-    if sum(map(len, shipped.values())) > _INLINE_ADDRESSES:
-        # One row per partition, whatever the number of picks: a bitmap
-        # ships and probes faster than a broadcast table of addresses.
-        bitmaps = piece.sparkSession.createDataFrame(
-            pd.DataFrame({_PID: list(shipped), _BITMAP: list(map(_bitmap, shipped.values()))}),
-            schema=f"{_PID} int, {_BITMAP} array<bigint>",
-        )
-        rows = rows.selectExpr("*", f"int(shiftright({ROW}, {_PID_SHIFT})) AS {_PID}")
-        rows = rows.join(F.broadcast(bitmaps), _PID, "left")
-        offset = f"({ROW} & {_OFFSET_MASK})"
-        word = f"try_element_at({_BITMAP}, int(shiftright({offset}, 6)) + 1)"
-        at_address = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
-    elif shipped:
-        at_address = f"{ROW} IN ({', '.join(map(str, addresses(shipped)))})"
+    offset = f"({ROW} & {_OFFSET_MASK})"
     picked = {}
-    for pid in offsets:
-        listed = at_address if pid in shipped else "false"
-        picked[pid] = f"NOT ({listed})" if pid in drops else listed
+    for pid, offs in offsets.items():
+        if len(offs):
+            words = f"from_json('{_bitmap(offs)}', 'array<bigint>')"
+            word = f"try_element_at({words}, int(shiftright({offset}, 6)) + 1)"
+            picked[pid] = f"coalesce(bit_get({word}, int({offset} & 63)) = 1, false)"
+        else:
+            picked[pid] = "false"
     return _by_partition(rows, picked, piece.columns)

@@ -14,7 +14,7 @@ import math
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.ttbs import rates
-from repro.distributed.common import _rand_seed
+from repro.distributed.common import _rand_seed, num_partitions
 
 
 class DTTBS:
@@ -58,7 +58,7 @@ class DTTBS:
                 seed=_rand_seed(self.seed, 2 * self.round + 1),
             )
             df = retained.unionByName(accepted)
-        if df.rdd.getNumPartitions() > 2 * self.P:
+        if num_partitions(df) > 2 * self.P:
             df = df.coalesce(self.P)  # narrow merge only
         self.df = df.localCheckpoint(eager=True)
 

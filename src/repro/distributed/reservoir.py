@@ -56,6 +56,7 @@ from repro.distributed.common import (  # partition_sizes: DRTBS sizes batches t
     in_order,
     keep_first,
     keep_offsets,
+    num_partitions,
     observed_sizes,
     partition_sizes,
 )
@@ -298,16 +299,16 @@ class SparkPieces:
         """The items as a lazy frame whose partitions hold ``pending.keep``
         rows, the pieces' in order. Centralized decisions: one filter over
         the union of the pieces, addressed by the union's partition ids,
-        with one broadcast table for all their bitmaps. Distributed
-        decisions: each piece that a decision touched is filtered by its
-        own ``rand`` order, and the union sits above those filters."""
+        that holds every touched partition's bitmap. Distributed decisions:
+        each piece that a decision touched is filtered by its own ``rand``
+        order, and the union sits above those filters."""
         if not self.frames:
             return None
         touched = [j for j, (k, size) in enumerate(zip(pending.keep, pending.stored)) if k < size]
         if pending.strategy == "cent":
             pieces = [self._guard] + [self._frame(piece) for piece, _, _ in self.frames]
             union = functools.reduce(DataFrame.unionByName, pieces)
-            return keep_offsets(union, {j: pending.offsets(j) for j in touched}, pending.stored)
+            return keep_offsets(union, {j: pending.offsets(j) for j in touched})
         parts, first = [self._guard], 0
         for piece, n_parts, op in self.frames:
             windows = {j - first: (pending.lo[j], pending.keep[j]) for j in touched if first <= j < first + n_parts}
@@ -368,7 +369,7 @@ class SparkPieces:
         """Rewrite the items into one piece of at most ``P`` partitions in
         one pass, sized by ``observe`` counts over the merged partitions."""
         merged, sizes = observed_sizes(view.coalesce(P), P, lambda df: df.localCheckpoint(eager=True))
-        sizes = sizes[: merged.rdd.getNumPartitions()]
+        sizes = sizes[: num_partitions(merged)]
         self.frames = []
         self.add(merged, sizes)
         return sizes
@@ -412,12 +413,10 @@ class CoPartitionedReservoir:
     (1 job) applies the pending decisions through ``common.keep_first``
     per piece or ``common.keep_offsets`` over the union of the pieces,
     ``coalesce``-s to ``P`` partitions, reads their sizes through
-    ``DataFrame.observe`` and checkpoints. Cent-CP adds 1 job when more
-    than 64 offsets are shipped, to broadcast the one table of every
-    partition's bitmap (a saturated Cent-CP round at 10k rows, n = 20k,
-    P = 4: 3 jobs when it merges). So a Dist-CP D-R-TBS round runs 1 job
-    per non-empty batch and 1 per merge. ``df`` is the lazy view of the
-    items that a merge checkpoints.
+    ``DataFrame.observe`` and checkpoints; Cent-CP's kept offsets travel in
+    that pass's filter. So a D-R-TBS round of either strategy runs 1 job
+    per non-empty batch and 1 per merge (a merging saturated round: 2).
+    ``df`` is the lazy view of the items that a merge checkpoints.
 
     CRITICAL evaluation-order invariants: ``spark_partition_id()``,
     ``monotonically_increasing_id()`` and ``rand`` take the partition index
@@ -600,7 +599,7 @@ class KVReservoir:
         df = inserts.repartition(self.P, self.SLOT)
         if survivors is not None:
             df = survivors.unionByName(df)
-            if self.df.rdd.getNumPartitions() > self.P:
+            if num_partitions(self.df) > self.P:
                 df = df.coalesce(self.P)
         self._materialize(df)
 

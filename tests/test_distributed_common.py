@@ -3,9 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.distributed import common
 from repro.distributed.common import (
-    addresses,
     central_positions,
     distributed_counts,
     keep_first,
@@ -15,6 +13,7 @@ from repro.distributed.common import (
     slots_to_positions,
 )
 from repro.rng import make_rng
+from tests.test_drtbs_spark import jobs_in
 
 EMPTY = np.empty(0, dtype=np.int64)
 
@@ -132,22 +131,29 @@ class TestDecisionStrategies:
 
 class TestSelectByPositions:
     def test_keep_selects_exact_rows(self, spark, df40):
+        """The rows at the kept offsets, on both sides of a bitmap word's
+        boundary and at a partition's last row too, none of a touched
+        partition with an empty keep and every row of an untouched one.
+        The bitmaps are constants of the optimized plan, not parsed per
+        row."""
         sizes = partition_sizes(df40)
-        rng = make_rng(3)
-        pos = central_positions(rng, sizes, 10)
-        kept = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes).toPandas()
-        assert len(kept) == 10
-        assert set(kept["k"]) <= set(range(40))
-        glom = df40.rdd.glom().collect()
-        expect = {glom[pid][o]["k"] for pid, offs in pos.items() for o in offs}
-        assert set(kept["k"]) == expect
+        pos = central_positions(make_rng(3), sizes, 10)
+        rows600 = spark.range(0, 600, 1, 3).selectExpr("id AS k").localCheckpoint(eager=True)
+        edges = {0: np.array([0, 63, 64, 127, 128, 199]), 1: EMPTY}
+        for frame, keep in ((df40, every(pos, len(sizes), EMPTY)), (rows600, edges)):
+            out = keep_offsets(frame, keep)
+            glom = frame.rdd.glom().collect()
+            expect = [r["k"] for pid, rows in enumerate(glom) for o, r in enumerate(rows) if o in keep.get(pid, [o])]
+            assert len(expect) == (10 if frame is df40 else 206)
+            assert sorted(out.toPandas()["k"]) == sorted(expect)
+            assert "from_json" not in out._jdf.queryExecution().optimizedPlan().toString()
 
     def test_keep_drop_partition_universe(self, spark, df40):
         """Keeping some offsets and keeping the rest split the rows."""
         sizes = partition_sizes(df40)
         pos = central_positions(make_rng(4), sizes, 15)
-        kept = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes).toPandas()
-        dropped = keep_offsets(df40, complement(pos, sizes), sizes).toPandas()
+        kept = keep_offsets(df40, every(pos, len(sizes), EMPTY)).toPandas()
+        dropped = keep_offsets(df40, complement(pos, sizes)).toPandas()
         assert len(kept) == 15 and len(dropped) == 25
         assert sorted(kept["k"]) + sorted(dropped["k"]) != []
         assert sorted(list(kept["k"]) + list(dropped["k"])) == list(range(40))
@@ -155,50 +161,34 @@ class TestSelectByPositions:
     def test_empty_positions_drop_is_identity(self, df40):
         """Keeping every offset, or naming no partition, keeps every row."""
         sizes = partition_sizes(df40)
-        out = keep_offsets(df40, complement({}, sizes), sizes).toPandas()
+        out = keep_offsets(df40, complement({}, sizes)).toPandas()
         assert sorted(out["k"]) == list(range(40))
-        assert sorted(keep_offsets(df40, {}, sizes).toPandas()["k"]) == list(range(40))
+        assert sorted(keep_offsets(df40, {}).toPandas()["k"]) == list(range(40))
 
     def test_empty_positions_keep_is_empty(self, df40):
         sizes = partition_sizes(df40)
-        out = keep_offsets(df40, every({}, len(sizes), EMPTY), sizes).toPandas()
+        out = keep_offsets(df40, every({}, len(sizes), EMPTY)).toPandas()
         assert len(out) == 0
 
-    def test_many_positions_broadcast(self, df40, batch400):
-        """More shipped offsets than the filter inlines are broadcast as one
-        bitmap per partition and pick the same rows, shipped as kept
-        offsets or, for a keep of most rows, as dropped ones."""
+    def test_many_positions_one_pass(self, spark, df40, batch400):
+        """Many kept offsets, or most of a partition's rows, ship in the
+        filter itself: no join, no exchange, one job."""
         union = df40.unionByName(batch400)
         sizes = partition_sizes(union)
         pos = central_positions(make_rng(8), sizes, 150)
         glom = union.rdd.glom().collect()
         picked = {glom[pid][o]["k"] for pid, offs in pos.items() for o in offs}
-        kept = keep_offsets(union, every(pos, len(sizes), EMPTY), sizes)
-        dropped = keep_offsets(union, complement(pos, sizes), sizes)
+        kept = keep_offsets(union, every(pos, len(sizes), EMPTY))
+        dropped = keep_offsets(union, complement(pos, sizes))
         for out in (kept, dropped):
-            out.collect()
-            assert "BroadcastHashJoin" in out._jdf.queryExecution().executedPlan().toString()
+            _, jobs = jobs_in(spark.sparkContext, "keep-offsets", lambda: out.write.format("noop").mode("overwrite").save())
+            assert jobs == 1
+            plan = out._jdf.queryExecution().executedPlan().toString()
+            assert "BroadcastHashJoin" not in plan and "Exchange" not in plan, plan
         kept, dropped = set(kept.toPandas()["k"]), set(dropped.toPandas()["k"])
         assert kept == picked and len(kept) == 150
         assert dropped == (set(range(40)) | set(range(1000, 1400))) - picked
         assert len(dropped) == 290
-
-    def test_large_keep_equals_complement_drop(self, df40, monkeypatch):
-        """A keep of more than half a partition is shipped as a drop of
-        its complement, with the same result."""
-        sizes = partition_sizes(df40)
-        pos = central_positions(make_rng(9), sizes, 30)
-        calls = []
-        monkeypatch.setattr(common, "addresses", lambda offs: calls.append(offs) or addresses(offs))
-        out = keep_offsets(df40, every(pos, len(sizes), EMPTY), sizes)
-        (shipped,) = calls  # the offsets listed inline, per partition
-        flipped = [pid for pid, offs in pos.items() if 2 * len(offs) > sizes[pid]]
-        assert flipped and all(set(shipped[pid]) == set(range(sizes[pid])) - set(pos[pid]) for pid in flipped)
-        assert all(2 * len(offs) <= sizes[pid] for pid, offs in shipped.items())
-        keys = keys_by_partition(df40)
-        expect = [sorted(keys[pid][o] for o in pos.get(pid, EMPTY)) for pid in range(len(sizes))]
-        assert keys_by_partition(out) == expect
-        assert sum(map(len, keys_by_partition(out))) == 30
 
 
 class TestSelectRandomPerPartition:
@@ -266,7 +256,7 @@ class TestSelectOverUnion:
             after = keys_by_partition(keep_first(union, first(keep), seed=1, round_no=1))
         else:
             keep = {0: np.setdiff1d(np.arange(sizes[0]), [0, 3]), 6: np.array([1, 4, 7])}
-            after = keys_by_partition(keep_offsets(union, keep, sizes))
+            after = keys_by_partition(keep_offsets(union, keep))
         expect = list(sizes)
         for pid, p in keep.items():
             expect[pid] = p if picks == "counts" else len(p)
@@ -314,8 +304,8 @@ class TestNoPythonWorker:
             out = keep_first(union, first(keep), seed=0, round_no=1)
         else:
             k = 10 if picks == "offsets" else 150
-            out = keep_offsets(union, every(central_positions(make_rng(10), sizes, k), len(sizes), EMPTY), sizes)
+            out = keep_offsets(union, every(central_positions(make_rng(10), sizes, k), len(sizes), EMPTY))
         out.collect()
         plan = out._jdf.queryExecution().executedPlan().toString()
-        assert ("BroadcastHashJoin" in plan) == (picks == "bitmap"), plan
+        assert "BroadcastHashJoin" not in plan, plan
         self.assert_jvm_only(plan)

@@ -206,9 +206,10 @@ class TestArrowOff:
     def test_same_sample_without_arrow(self, spark, kw):
         """Spark leaves Arrow off by default. Every variant runs without
         it, through an overshoot, a saturated round whose centralized
-        picks exceed 64 (the bitmap path of ``common.keep_offsets``), an empty
-        batch and an undershoot that puts the partial item back, and
-        realizes the sample of an Arrow-on run with the same seed."""
+        picks exceed 64 (bitmap literals in ``common.keep_offsets``'
+        filter), an empty batch and an undershoot that puts the partial
+        item back, and realizes the sample of an Arrow-on run with the
+        same seed."""
         lam, n = 1.0, 100
         sched = [150, 300, 0, 10, 260]
         key = "spark.sql.execution.arrow.pyspark.enabled"
@@ -712,8 +713,8 @@ class TestPutBackPieces:
 class TestJobsPerRound:
     """Spark jobs of co-partitioned D-R-TBS rounds, read from
     ``statusTracker``: one to size a non-empty batch and one more when the
-    reservoir merges (Cent-CP: two). An extract runs none: no row is
-    fetched during a round."""
+    reservoir merges, for either decision strategy. An extract runs none:
+    no row is fetched during a round."""
 
     def test_bursty_rounds(self, spark, monkeypatch):
         from repro.distributed import reservoir
@@ -748,9 +749,9 @@ class TestJobsPerRound:
 
     def test_cent_merging_rounds(self, spark, monkeypatch):
         """Cent-CP: a saturated round runs 1 job to size its batch, and a
-        round that merges 2 more, the merge's pass and the broadcast of one
-        table with every partition's offset bitmap, however many pieces
-        ship more than 64 offsets."""
+        round that merges 1 more, the merge's pass: every partition's
+        offset bitmap is a literal of its filter, however many pieces
+        ship offsets."""
         P, n, b = 4, 4000, 2000
         sampler = DRTBS(spark, 0.3, n, seed=5, storage="cp", strategy="cent", target_partitions=P)
         sampler.advance(range_batch(spark, 0, 2 * n, P))
@@ -764,7 +765,7 @@ class TestJobsPerRound:
             _, jobs = jobs_in(sc, f"cent-round-{t}", lambda: sampler.advance(batch))
             merged = len(merges) - before
             assert sampler.total_weight >= n and merged <= 1, (t, merged)
-            assert jobs == 1 + 2 * merged, (t, jobs, merged)
+            assert jobs == 1 + merged, (t, jobs, merged)
             assert res.sizes == partition_sizes(res.df) and res.count == n, t
         assert len(merges) >= 2, "fewer than two merges"
 
